@@ -11,9 +11,10 @@ from .metrics import (CoverageTable, DeltaBinReport, accuracy, coverage,
                       delta_report, roc_auc, roc_auc_at_delta)
 from .network import (QuantileNet, TauGrid, forward, init_net, load_checkpoint,
                       param_count, save_checkpoint)
-from .smoothing import (ConfidenceReport, SmoothedQuantileFn, conditional_mean,
+from .smoothing import (ConfidenceReport, ConfidenceScores, SmoothedQuantileFn,
+                        conditional_mean, conditional_moments,
                         conditional_stat, delta_score, delta_scores,
-                        prediction_interval, smooth)
+                        prediction_interval, prediction_intervals, smooth)
 from .training import (TrainConfig, TrainTrace, NotReached, epochs_to_target,
                        estimate_kz, lalr_eta, train)
 
@@ -29,9 +30,10 @@ __all__ = [
     "roc_auc", "roc_auc_at_delta",
     "QuantileNet", "TauGrid", "forward", "init_net", "load_checkpoint",
     "param_count", "save_checkpoint",
-    "ConfidenceReport", "SmoothedQuantileFn", "conditional_mean",
-    "conditional_stat", "delta_score", "delta_scores", "prediction_interval",
-    "smooth",
+    "ConfidenceReport", "ConfidenceScores", "SmoothedQuantileFn",
+    "conditional_mean", "conditional_moments", "conditional_stat",
+    "delta_score", "delta_scores", "prediction_interval",
+    "prediction_intervals", "smooth",
     "TrainConfig", "TrainTrace", "NotReached", "epochs_to_target",
     "estimate_kz", "lalr_eta", "train",
 ]

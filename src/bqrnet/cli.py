@@ -194,12 +194,11 @@ def cmd_evaluate(args) -> int:
     else:
         summary["coverage"] = None
         print("note: no latent column; coverage table skipped")
-    reports = smoothing.delta_scores(preds, grid)
-    rep = metrics.delta_report(reports, ds.labels)
+    scores = smoothing.delta_scores(preds, grid)
+    rep = metrics.delta_report(scores, ds.labels)
     rep.to_csv(out / "delta_report.csv", dataset_name=ds.name)
     med = preds[:, grid.median_index]
-    predicted = np.array([r.predicted_label for r in reports])
-    summary["accuracy"] = metrics.accuracy(predicted, ds.labels)
+    summary["accuracy"] = metrics.accuracy(scores.predicted_label, ds.labels)
     summary["auc"] = metrics.roc_auc(med, ds.labels)
     summary["delta_r2"] = rep.r2
     summary["misclassification_per_threshold"] = rep.misclassification
@@ -295,6 +294,9 @@ def cmd_smooth(args) -> int:
     h = float(cfg.get("bandwidth", smoothing.DEFAULT_BANDWIDTH))
     pi_level = float(cfg.get("pi_level", 0.5))
     preds = network.forward(net, ds.features)
+    mean, variance = smoothing.conditional_moments(preds, grid, h)
+    scores = smoothing.delta_scores(preds, grid)
+    lo, hi = smoothing.prediction_intervals(preds, grid, pi_level)
     out = _outdir(cfg)
     path = out / "smooth.csv"
     with open(path, "w", newline="") as fh:
@@ -302,15 +304,11 @@ def cmd_smooth(args) -> int:
         writer.writerow([f"q_{t:.2f}" for t in grid.levels]
                         + ["mean", "variance", "delta", "label",
                            "pi_low", "pi_high"])
-        for row in preds:
-            sq = smoothing.smooth(row, grid, h)
-            rep = smoothing.delta_score(row, grid)
-            lo, hi = smoothing.prediction_interval(row, grid, pi_level)
-            writer.writerow(
-                [repr(float(v)) for v in row]
-                + [repr(smoothing.conditional_mean(sq)),
-                   repr(smoothing.conditional_stat(sq, "variance")),
-                   repr(rep.delta), rep.predicted_label, repr(lo), repr(hi)])
+        # csv writes a Python float as its repr, the shortest exact form
+        columns = (mean, variance, scores.delta, scores.predicted_label,
+                   lo, hi)
+        writer.writerows(q + rest for q, *rest in zip(
+            preds.tolist(), *(c.tolist() for c in columns)))
     print(f"wrote {path} (config {_config_hash(cfg)})")
     return 0
 
@@ -369,7 +367,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, ValueError) as exc:
+    except (ValueError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except training.TrainingDiverged as exc:

@@ -167,7 +167,8 @@ def load_csv(path, label_column: str, scale: bool = True,
     case it is treated as a real response and thresholded (<= threshold is
     class 0). Feature columns are affinely scaled per-column into [-1, 1]
     when ``scale`` is set; the scaling parameters are kept on the dataset so
-    held-out data can reuse them.
+    held-out data can reuse them. A NaN or infinite cell is a ParseError
+    naming its row.
     """
     with open(path, newline="") as fh:
         return _parse_csv(fh, label_column, scale, threshold, latent_column,
@@ -207,6 +208,12 @@ def _parse_csv(fh, label_column, scale, threshold, latent_column, delimiter,
         raise ParseError("no data rows")
     features = np.asarray(rows)
     raw_labels = np.asarray(raw_labels)
+    finite = np.isfinite(features).all(axis=1) & np.isfinite(raw_labels)
+    if latents:
+        finite &= np.isfinite(latents)
+    if not finite.all():
+        rownum = int(np.argmin(finite)) + 2
+        raise ParseError(f"row {rownum}: non-finite value", row=rownum)
     if threshold is not None:
         labels = (raw_labels > threshold).astype(int)
     else:

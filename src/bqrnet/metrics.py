@@ -13,7 +13,6 @@ import json
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .network import ShapeError, TauGrid
 
@@ -88,24 +87,24 @@ class DeltaBinReport:
                             + [f"{v:.4f}" for v in self.retention] + [""])
 
 
-def delta_report(reports, labels,
+def delta_report(scores, labels,
                  thresholds: Sequence[float] = DELTA_BIN_CENTERS,
                  bin_centers: Sequence[float] = DELTA_BIN_CENTERS) -> DeltaBinReport:
     """Misclassification and retention per confidence threshold, plus the
     calibration fit of per-bin misclassification against 0.5 - mean(delta).
 
     A row is retained at threshold t when its delta >= t; bins assign each
-    row to the nearest center.
+    row to the nearest center. ``scores`` is the ConfidenceScores of
+    smoothing.delta_scores.
     """
     labels = np.asarray(labels, dtype=int)
-    if len(reports) != labels.shape[0]:
-        raise ShapeError("reports and labels are misaligned")
+    deltas = np.asarray(scores.delta, dtype=float)
+    if deltas.shape != labels.shape:
+        raise ShapeError("scores and labels are misaligned")
     for t in thresholds:
         if not 0.0 <= t <= 0.5:
             raise ValueError("thresholds must lie in [0, 0.5]")
-    deltas = np.array([r.delta for r in reports])
-    predicted = np.array([r.predicted_label for r in reports])
-    wrong = predicted != labels
+    wrong = np.asarray(scores.predicted_label) != labels
     m_r, r_r = [], []
     for t in thresholds:
         keep = deltas >= t
@@ -140,20 +139,39 @@ def roc_auc(scores, labels) -> Optional[float]:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
-def roc_auc_at_delta(scores, labels, reports, delta_min: float) -> Optional[float]:
-    """AUC restricted to rows whose confidence meets delta_min."""
+def _average_ranks(x):
+    """1-based ranks of x, with each group of ties given its average rank;
+    all NaN when x holds a NaN, so an AUC over NaN scores is NaN."""
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    group = np.repeat(np.arange(starts.size), ends - starts)
+    ranks = np.empty(x.size)
+    ranks[order] = 0.5 * (starts + ends + 1)[group]
+    return ranks
+
+
+def roc_auc_at_delta(scores, labels, confidence,
+                     delta_min: float) -> Optional[float]:
+    """AUC restricted to rows whose confidence meets delta_min.
+
+    ``confidence`` is the ConfidenceScores of smoothing.delta_scores.
+    """
     if not 0.0 <= delta_min <= 0.5:
         raise ValueError("delta_min must lie in [0, 0.5]")
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    deltas = np.array([r.delta for r in reports])
+    deltas = np.asarray(confidence.delta, dtype=float)
     if not (scores.shape[0] == labels.shape[0] == deltas.shape[0]):
-        raise ShapeError("scores, labels, and reports are misaligned")
+        raise ShapeError("scores, labels, and confidence are misaligned")
     keep = deltas >= delta_min
     return roc_auc(scores[keep], labels[keep])
 

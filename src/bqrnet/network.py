@@ -106,12 +106,7 @@ class QuantileNet:
         )
 
 
-def init_net(input_dim: int, trunk_widths: Sequence[int], grid: TauGrid,
-             seed: int) -> QuantileNet:
-    """Build a network with He-scaled trunk weights and 1/fan_in heads.
-
-    Biases start at zero. Deterministic for a fixed seed.
-    """
+def _check_architecture(input_dim: int, trunk_widths: Sequence[int]) -> list:
     if input_dim < 1:
         raise ArchitectureError("input_dim must be positive")
     widths = list(trunk_widths)
@@ -119,7 +114,16 @@ def init_net(input_dim: int, trunk_widths: Sequence[int], grid: TauGrid,
         raise ArchitectureError("trunk must have at least one layer")
     if any(w < 1 for w in widths):
         raise ArchitectureError("trunk widths must be positive")
+    return widths
 
+
+def init_net(input_dim: int, trunk_widths: Sequence[int], grid: TauGrid,
+             seed: int) -> QuantileNet:
+    """Build a network with He-scaled trunk weights and 1/fan_in heads.
+
+    Biases start at zero. Deterministic for a fixed seed.
+    """
+    widths = _check_architecture(input_dim, trunk_widths)
     rng = np.random.default_rng(seed)
     trunk_w, trunk_b = [], []
     fan_in = input_dim
@@ -231,10 +235,21 @@ def flatten_params(net: QuantileNet) -> np.ndarray:
 
 
 def unflatten_params(net: QuantileNet, flat: np.ndarray) -> QuantileNet:
+    return _net_from_flat(net.input_dim, net.trunk_widths, net.grid, flat)
+
+
+def _net_from_flat(input_dim: int, trunk_widths: Sequence[int],
+                   grid: TauGrid, flat: np.ndarray) -> QuantileNet:
+    """A network whose arrays are views into ``flat``, laid out as
+    flatten_params writes them."""
+    widths = _check_architecture(input_dim, trunk_widths)
     flat = np.asarray(flat, dtype=float)
-    if flat.size != param_count(net):
+    fan_ins = [input_dim] + widths
+    m = len(grid)
+    n_params = sum(w * (f + 1) for f, w in zip(fan_ins, widths)) \
+        + m * (widths[-1] + 1)
+    if flat.shape != (n_params,):
         raise ShapeError("flat parameter vector has wrong length")
-    out = net.copy()
     pos = 0
 
     def take(shape):
@@ -244,12 +259,13 @@ def unflatten_params(net: QuantileNet, flat: np.ndarray) -> QuantileNet:
         pos += size
         return block
 
-    for i in range(len(out.trunk_w)):
-        out.trunk_w[i] = take(out.trunk_w[i].shape)
-        out.trunk_b[i] = take(out.trunk_b[i].shape)
-    out.head_w = take(out.head_w.shape)
-    out.head_b = take(out.head_b.shape)
-    return out
+    trunk_w, trunk_b = [], []
+    for fan_in, width in zip(fan_ins, widths):
+        trunk_w.append(take((width, fan_in)))
+        trunk_b.append(take((width,)))
+    head_w = take((m, widths[-1]))
+    head_b = take((m,))
+    return QuantileNet(input_dim, trunk_w, trunk_b, head_w, head_b, grid)
 
 
 def flatten_grad(grad: Gradients) -> np.ndarray:
@@ -283,5 +299,5 @@ def load_checkpoint(path) -> QuantileNet:
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version: {meta.get('version')!r}")
         grid = TauGrid(tuple(ckpt["grid"]))
-        skeleton = init_net(meta["input_dim"], meta["trunk_widths"], grid, seed=0)
-        return unflatten_params(skeleton, ckpt["params"])
+        return _net_from_flat(meta["input_dim"], meta["trunk_widths"], grid,
+                              ckpt["params"])

@@ -1,14 +1,18 @@
 """Post-processing of discrete quantile predictions: Gaussian-kernel
 smoothing of the quantile function, conditional moments by quadrature,
 prediction intervals, and the per-sample confidence score.
+
+Every quantity has a batch form over an (n, m) prediction matrix; the
+one-row functions are thin wrappers around it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .losses import DomainError
 from .network import ShapeError, TauGrid
@@ -22,6 +26,53 @@ DEFAULT_BANDWIDTH = 0.1
 # composite-Simpson quadrature grid for conditional moments; the smoothed
 # function is finite on the closed interval [0, 1]
 _QUAD_POINTS = 1001
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _norm_cdf(x):
+    """Standard normal CDF as 0.5 erfc(-x / sqrt 2), elementwise."""
+    return 0.5 * _erfc(np.negative(x) / math.sqrt(2.0)).astype(float)
+
+
+def _knots(levels):
+    """Knots i and i+1 bracket the probability interval owned by level i."""
+    taus = np.asarray(levels, dtype=float)
+    return np.concatenate(([TAU_LO], 0.5 * (taus[:-1] + taus[1:]), [TAU_HI]))
+
+
+def _kernel_weights(knots, bandwidth, tau):
+    """(len(tau), len(knots) - 1) normalized Gaussian-kernel weights."""
+    cdf = _norm_cdf((tau[:, None] - knots[None, :]) / bandwidth)
+    w = cdf[:, :-1] - cdf[:, 1:]
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _simpson_weights():
+    """Composite-Simpson weights of the _QUAD_POINTS nodes on [0, 1]."""
+    s = np.full(_QUAD_POINTS, 2.0)
+    s[1:-1:2] = 4.0
+    s[0] = s[-1] = 1.0
+    return s / (3.0 * (_QUAD_POINTS - 1))
+
+
+_SIMPSON = _simpson_weights()
+
+
+@functools.lru_cache(maxsize=32)
+def _moment_operator(levels: tuple, bandwidth: float):
+    """Smoothing weights W at the quadrature nodes, shape (nodes, m), the
+    mean functional W^T s and the Gram matrix W^T diag(s) W, where s holds
+    the Simpson weights. They depend only on the grid and the bandwidth, so
+    a prediction matrix P has means P @ w_mean and second moments
+    rowwise P G P^T. The cached arrays are read-only."""
+    nodes = np.linspace(0.0, 1.0, _QUAD_POINTS)
+    w = _kernel_weights(_knots(levels), bandwidth, nodes)
+    w_mean = _SIMPSON @ w
+    gram = w.T @ (_SIMPSON[:, None] * w)
+    for arr in (w, w_mean, gram):
+        arr.flags.writeable = False
+    return w, w_mean, gram
 
 
 class OutOfGridError(ValueError):
@@ -46,29 +97,34 @@ class SmoothedQuantileFn:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.bandwidth <= 0:
-            raise DomainError("bandwidth must be positive")
+        _check_bandwidth(self.bandwidth)
         if self.values.shape != (len(self.grid),):
             raise ShapeError("values must align with the grid")
-        taus = self.grid.array
-        # knot i / i+1 bracket the interval owned by grid level i
-        self._knots = np.concatenate(
-            ([TAU_LO], 0.5 * (taus[:-1] + taus[1:]), [TAU_HI]))
-        self._coef = self.values
+        self._knots = _knots(self.grid.levels)
 
     def weights(self, tau):
         """Normalized per-interval weights at the given evaluation levels."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        cdf = ndtr((tau[:, None] - self._knots[None, :]) / self.bandwidth)
-        w = cdf[:, :-1] - cdf[:, 1:]
-        return w / w.sum(axis=1, keepdims=True)
+        return _kernel_weights(self._knots, self.bandwidth, tau)
 
     def __call__(self, tau):
         tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = self.weights(tau_arr) @ self._coef
+        out = self.weights(tau_arr) @ self.values
         if np.isscalar(tau) or np.asarray(tau).ndim == 0:
             return float(out[0])
         return out
+
+
+def _check_bandwidth(h):
+    if not h > 0:
+        raise DomainError("bandwidth must be positive")
+
+
+def _pred_matrix(pred_matrix, grid: TauGrid) -> np.ndarray:
+    preds = np.asarray(pred_matrix, dtype=float)
+    if preds.ndim != 2 or preds.shape[1] != len(grid):
+        raise ShapeError("prediction matrix columns must align with the grid")
+    return preds
 
 
 def smooth(values, grid: TauGrid,
@@ -78,20 +134,23 @@ def smooth(values, grid: TauGrid,
                               bandwidth=h)
 
 
-def _quad_grid():
-    return np.linspace(0.0, 1.0, _QUAD_POINTS)
-
-
-def _simpson(fx, x):
-    h = x[1] - x[0]
-    return h / 3.0 * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum()
-                      + 2.0 * fx[2:-1:2].sum())
+def conditional_moments(pred_matrix, grid: TauGrid,
+                        h: float = DEFAULT_BANDWIDTH):
+    """Conditional mean and variance of every row's smoothed quantile
+    function, integrated over (0, 1) by composite Simpson; two arrays of
+    length n."""
+    preds = _pred_matrix(pred_matrix, grid)
+    _check_bandwidth(h)
+    _, w_mean, gram = _moment_operator(grid.levels, float(h))
+    mean = preds @ w_mean
+    second = np.einsum("ij,ij->i", preds @ gram, preds)
+    return mean, second - mean ** 2
 
 
 def conditional_mean(sq: SmoothedQuantileFn) -> float:
     """Mean response: integral of the smoothed quantile function over (0,1)."""
-    taus = _quad_grid()
-    return float(_simpson(sq(taus), taus))
+    _, w_mean, _ = _moment_operator(sq.grid.levels, float(sq.bandwidth))
+    return float(sq.values @ w_mean)
 
 
 def conditional_stat(sq: SmoothedQuantileFn, functional: str = "variance",
@@ -101,32 +160,49 @@ def conditional_stat(sq: SmoothedQuantileFn, functional: str = "variance",
     ``variance`` integrates the squared smoothed quantiles and subtracts the
     squared mean; ``moment`` returns the raw k-th moment.
     """
-    taus = _quad_grid()
-    q = sq(taus)
     if functional == "variance":
-        mean = _simpson(q, taus)
-        return float(_simpson(q ** 2, taus) - mean ** 2)
+        _, var = conditional_moments(sq.values[None, :], sq.grid, sq.bandwidth)
+        return float(var[0])
     if functional == "moment":
-        return float(_simpson(q ** k, taus))
+        w, _, _ = _moment_operator(sq.grid.levels, float(sq.bandwidth))
+        return float(_SIMPSON @ (w @ sq.values) ** k)
     raise ValueError(f"unknown functional {functional!r}")
 
 
-def prediction_interval(values, grid: TauGrid, level: float):
-    """Central interval [Q(level/2), Q(1 - level/2)] covering (1 - level).
+def _interp_column(preds, taus, t):
+    """np.interp(t, taus, row) for every row at once, with the same
+    arithmetic, so each entry equals the one-row result bit for bit."""
+    j = max(int(np.searchsorted(taus, t, side="right")) - 1, 0)
+    if j == len(taus) - 1 or taus[j] >= t:
+        return preds[:, j].copy()
+    slope = (preds[:, j + 1] - preds[:, j]) / (taus[j + 1] - taus[j])
+    return slope * (t - taus[j]) + preds[:, j]
+
+
+def prediction_intervals(pred_matrix, grid: TauGrid, level: float):
+    """Central intervals [Q(level/2), Q(1 - level/2)] covering (1 - level),
+    for every row; returns the arrays (low, high).
 
     Endpoints come from piecewise-linear interpolation of the grid values;
-    both target levels must lie within the grid's span.
+    ``level`` must lie in (0, 1) and both target levels within the grid's
+    span.
     """
-    values = np.asarray(values, dtype=float)
+    preds = _pred_matrix(pred_matrix, grid)
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"interval level {level} must lie in (0, 1)")
     taus = grid.array
     lo_t, hi_t = 0.5 * level, 1.0 - 0.5 * level
     if lo_t < taus[0] - 1e-12 or hi_t > taus[-1] + 1e-12:
         raise OutOfGridError(
             f"interval levels ({lo_t:.3f}, {hi_t:.3f}) fall outside the grid "
             f"span [{taus[0]}, {taus[-1]}]")
-    lo = float(np.interp(lo_t, taus, values))
-    hi = float(np.interp(hi_t, taus, values))
-    return lo, hi
+    return _interp_column(preds, taus, lo_t), _interp_column(preds, taus, hi_t)
+
+
+def prediction_interval(values, grid: TauGrid, level: float):
+    """Central interval of one quantile vector; see prediction_intervals."""
+    lo, hi = prediction_intervals(np.asarray(values)[None, :], grid, level)
+    return float(lo[0]), float(hi[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,59 +219,64 @@ class ConfidenceReport:
         return 0.5 - self.delta
 
 
-def delta_score(values, grid: TauGrid) -> ConfidenceReport:
-    """Confidence score from the piecewise-linear interpolant of the
-    quantile vector over the grid.
+@dataclasses.dataclass(frozen=True)
+class ConfidenceScores:
+    """ConfidenceReport for every row of a prediction matrix, as arrays."""
+
+    delta: np.ndarray
+    predicted_label: np.ndarray
+
+    @property
+    def expected_misclassification(self) -> np.ndarray:
+        return 0.5 - self.delta
+
+
+def _first_true(mask):
+    """Column of the first True in each row of a boolean matrix, -1 where a
+    row has none."""
+    if mask.shape[1] == 0:
+        return np.full(mask.shape[0], -1)
+    idx = np.argmax(mask, axis=1)
+    return np.where(mask[np.arange(mask.shape[0]), idx], idx, -1)
+
+
+def delta_scores(pred_matrix, grid: TauGrid) -> ConfidenceScores:
+    """Confidence score of every row, from the piecewise-linear interpolant
+    of its quantile vector over the grid.
 
     delta is the smallest d with Q(0.5 - d) <= 0 <= Q(0.5 + d); with a
     median away from zero this is the distance from 0.5 to the nearest
     zero crossing on the relevant side, capped at 0.5 when the interpolant
-    never crosses zero inside the grid.
-    """
-    values = np.asarray(values, dtype=float)
-    taus = grid.array
-    if values.shape != taus.shape:
-        raise ShapeError("values must align with the grid")
-    mid = grid.median_index
-    if abs(taus[mid] - 0.5) > 1e-12:
-        raise DomainError("grid must contain the median level 0.5")
-    q_med = values[mid]
-    if q_med == 0.0:
-        return ConfidenceReport(delta=0.0, predicted_label=0)
-    if q_med > 0:
-        tau_star = _nearest_crossing(taus, values, mid, direction=-1)
-        delta = 0.5 if tau_star is None else 0.5 - tau_star
-        label = 1
-    else:
-        tau_star = _nearest_crossing(taus, values, mid, direction=+1)
-        delta = 0.5 if tau_star is None else tau_star - 0.5
-        label = 0
-    return ConfidenceReport(delta=float(min(max(delta, 0.0), 0.5)),
-                            predicted_label=label)
-
-
-def _nearest_crossing(taus, values, mid, direction):
-    """Zero of the linear interpolant nearest the median on one side.
+    never crosses zero inside the grid. A median of exactly 0 gives delta 0
+    and label 0.
 
     Scanning outward from the median, the previous knot always has the
     median's sign, so the first knot of opposite (or zero) value brackets
     the crossing.
     """
-    if direction < 0:
-        for a in range(mid - 1, -1, -1):
-            if values[a] <= 0.0:
-                b = a + 1
-                return float(taus[a] - values[a] * (taus[b] - taus[a])
-                             / (values[b] - values[a]))
-    else:
-        for b in range(mid + 1, len(taus)):
-            if values[b] >= 0.0:
-                a = b - 1
-                return float(taus[a] - values[a] * (taus[b] - taus[a])
-                             / (values[b] - values[a]))
-    return None
+    preds = _pred_matrix(pred_matrix, grid)
+    taus = grid.array
+    mid = grid.median_index
+    med = preds[:, mid]
+    pos = med > 0
+    neg = ~pos & (med != 0)
+    # nearest knot at or below zero left of a positive median, at or above
+    # zero right of a negative one; a and a + 1 bracket the crossing
+    left = _first_true(preds[:, :mid][:, ::-1] <= 0.0)
+    right = _first_true(preds[:, mid + 1:] >= 0.0)
+    a = np.where(pos, mid - 1 - left, mid + right)
+    crossed = np.flatnonzero(np.where(pos, left >= 0, neg & (right >= 0)))
+    a, b = a[crossed], a[crossed] + 1
+    qa, qb = preds[crossed, a], preds[crossed, b]
+    tau_star = taus[a] - qa * (taus[b] - taus[a]) / (qb - qa)
+    delta = np.where(pos | neg, 0.5, 0.0)
+    delta[crossed] = np.where(pos[crossed], 0.5 - tau_star, tau_star - 0.5)
+    return ConfidenceScores(delta=np.minimum(np.maximum(delta, 0.0), 0.5),
+                            predicted_label=pos.astype(int))
 
 
-def delta_scores(pred_matrix, grid: TauGrid):
-    """delta_score applied row-wise to a prediction matrix."""
-    return [delta_score(row, grid) for row in np.asarray(pred_matrix, dtype=float)]
+def delta_score(values, grid: TauGrid) -> ConfidenceReport:
+    """Confidence score of one quantile vector; see delta_scores."""
+    scores = delta_scores(np.asarray(values)[None, :], grid)
+    return ConfidenceReport(delta=float(scores.delta[0]),
+                            predicted_label=int(scores.predicted_label[0]))

@@ -2,6 +2,9 @@
 lalr-bench, and smooth, including config-file merging and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +92,14 @@ class TestTrain:
     def test_missing_dataset(self, capsys):
         assert run(["train", "--epochs", "1"]) == EXIT_VALIDATION
 
+    def test_malformed_yaml_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("dataset_id: [D1\nn: 200\n")
+        rc = run(["train", "--config", cfg, "--epochs", "1",
+                  "--out", tmp_path / "run"])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_exit_code(self, tmp_path, capsys):
         out = tmp_path / "div"
@@ -110,6 +121,14 @@ class TestEvaluate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["coverage"] is not None
         assert 0.0 <= summary["accuracy"] <= 1.0
+
+    def test_missing_checkpoint_exit_code(self, tmp_path, capsys):
+        rc = run(["evaluate", "--id", "D1", "--n", "20", "--seed", "1",
+                  "--checkpoint", tmp_path / "absent.npz",
+                  "--out", tmp_path / "eval"])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.npz" in err
 
     def test_csv_without_latent_skips_coverage(self, trained, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -214,6 +233,13 @@ class TestSmooth:
         for line in (out / "smooth.csv").read_text().splitlines()[1:]:
             assert float(line.split(",")[9]) == pytest.approx(2.5, abs=1e-9)
 
+    def test_pi_level_outside_unit_interval(self, trained, tmp_path, capsys):
+        rc = run(["smooth", "--id", "D3", "--n", "20", "--seed", "9",
+                  "--checkpoint", trained / "checkpoint.npz",
+                  "--pi-level", "1.5", "--out", tmp_path / "smooth"])
+        assert rc == EXIT_VALIDATION
+        assert "level" in capsys.readouterr().err
+
     def test_reproducible(self, trained, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -223,3 +249,16 @@ class TestSmooth:
                         "--out", out]) == 0
             outs.append((out / "smooth.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, bqrnet.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

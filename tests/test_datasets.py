@@ -159,6 +159,21 @@ class TestCsv:
         with pytest.raises(ParseError):
             dataset_from_csv_text("x,label\nfoo,1\n", label_column="label")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_field_reports_line(self, cell):
+        with pytest.raises(ParseError) as exc:
+            dataset_from_csv_text(f"x0,label\n0.1,0\n{cell},1\n0.5,1\n",
+                                  label_column="label")
+        assert exc.value.row == 3
+
+    def test_non_finite_label_or_latent(self):
+        with pytest.raises(ParseError):
+            dataset_from_csv_text("x,resp\n0,nan\n1,2\n",
+                                  label_column="resp", threshold=1.0)
+        with pytest.raises(ParseError):
+            dataset_from_csv_text("x,lat,label\n0,0.5,0\n1,inf,1\n",
+                                  label_column="label", latent_column="lat")
+
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_csv("/nonexistent/file.csv", label_column="label")

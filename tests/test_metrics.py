@@ -9,7 +9,8 @@ from bqrnet.datasets import gen_dataset, normalize_for_coverage, threshold_label
 from bqrnet.metrics import (CoverageTable, accuracy, coverage, delta_report,
                             r_squared, roc_auc, roc_auc_at_delta, summary_json)
 from bqrnet.network import TauGrid
-from bqrnet.smoothing import ConfidenceReport
+from bqrnet.metrics import _average_ranks
+from bqrnet.smoothing import ConfidenceScores
 
 GRID = TauGrid.default()
 
@@ -87,8 +88,8 @@ class TestRSquared:
 
 class TestDeltaReport:
     def _reports(self, deltas, labels_pred):
-        return [ConfidenceReport(delta=d, predicted_label=p)
-                for d, p in zip(deltas, labels_pred)]
+        return ConfidenceScores(delta=np.asarray(deltas, dtype=float),
+                                predicted_label=np.asarray(labels_pred))
 
     def test_perfectly_confident_and_correct(self):
         labels = np.array([1, 0, 1, 0])
@@ -172,8 +173,8 @@ class TestRocAuc:
     def test_restricted_auc(self):
         scores = np.array([0.1, 0.9, 0.2, 0.8])
         labels = np.array([0, 1, 1, 0])
-        reps = [ConfidenceReport(delta=d, predicted_label=0)
-                for d in (0.4, 0.4, 0.1, 0.1)]
+        reps = ConfidenceScores(delta=np.array([0.4, 0.4, 0.1, 0.1]),
+                                predicted_label=np.zeros(4, dtype=int))
         # keeping only the two confident rows yields perfect separation
         assert roc_auc_at_delta(scores, labels, reps, 0.3) == 1.0
         assert roc_auc_at_delta(scores, labels, reps, 0.0) == 0.75
@@ -181,7 +182,16 @@ class TestRocAuc:
     def test_restricted_auc_domain(self):
         with pytest.raises(ValueError):
             roc_auc_at_delta(np.zeros(1), np.zeros(1),
-                             [ConfidenceReport(0.1, 0)], 0.7)
+                             ConfidenceScores(np.array([0.1]),
+                                              np.array([0])), 0.7)
+
+    def test_average_ranks_match_rankdata(self):
+        rng = np.random.default_rng(5)
+        for scores in (rng.integers(0, 6, 500).astype(float),
+                       rng.normal(size=500), np.zeros(7),
+                       np.array([0.3, np.nan, 0.1])):
+            assert np.array_equal(_average_ranks(scores),
+                                  stats.rankdata(scores), equal_nan=True)
 
 
 class TestSummaryJson:

@@ -194,6 +194,19 @@ class TestCheckpoint:
         x = np.random.default_rng(3).normal(size=(4, 3))
         assert np.array_equal(forward(loaded, x), forward(net, x))
 
+    def test_load_draws_no_random_network(self, tmp_path, monkeypatch):
+        import bqrnet.network as network
+        net = init_net(2, [5, 3], TauGrid.default(), seed=4)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(net, path)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_checkpoint called init_net")
+
+        monkeypatch.setattr(network, "init_net", no_init)
+        loaded = load_checkpoint(path)
+        assert np.array_equal(flatten_params(loaded), flatten_params(net))
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path,

@@ -7,10 +7,11 @@ from scipy import integrate, stats
 
 from bqrnet.losses import DomainError
 from bqrnet.network import TauGrid
-from bqrnet.smoothing import (ConfidenceReport, OutOfGridError,
+from bqrnet.smoothing import (ConfidenceScores, OutOfGridError,
                               SmoothedQuantileFn, conditional_mean,
-                              conditional_stat, delta_score, delta_scores,
-                              prediction_interval, smooth)
+                              conditional_moments, conditional_stat,
+                              delta_score, delta_scores, prediction_interval,
+                              prediction_intervals, smooth)
 
 GRID = TauGrid.default()
 
@@ -116,6 +117,11 @@ class TestPredictionInterval:
         with pytest.raises(OutOfGridError):
             prediction_interval(np.zeros(9), GRID, 0.1)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_level_outside_unit_interval(self, level):
+        with pytest.raises(DomainError):
+            prediction_interval(np.linspace(0, 8, 9), GRID, level)
+
 
 class TestDeltaScore:
     def test_all_positive_no_crossing(self):
@@ -163,9 +169,11 @@ class TestDeltaScore:
 
     def test_delta_scores_rowwise(self):
         mat = np.vstack([np.linspace(0.5, 4.0, 9), np.linspace(-4.0, -0.5, 9)])
-        reps = delta_scores(mat, GRID)
-        assert [r.predicted_label for r in reps] == [1, 0]
-        assert all(isinstance(r, ConfidenceReport) for r in reps)
+        scores = delta_scores(mat, GRID)
+        assert isinstance(scores, ConfidenceScores)
+        assert scores.predicted_label.tolist() == [1, 0]
+        assert scores.delta.tolist() == [0.5, 0.5]
+        assert scores.expected_misclassification.tolist() == [0.0, 0.0]
 
     def test_delta_in_range(self):
         rng = np.random.default_rng(11)
@@ -177,3 +185,92 @@ class TestDeltaScore:
             # label consistent with the median sign
             if vals[4] > 0:
                 assert rep.predicted_label == 1
+
+
+def _rowwise_delta(values, taus, mid):
+    """Reference: scan outward from the median for the bracketing knot."""
+    if values[mid] == 0.0:
+        return 0.0, 0
+    if values[mid] > 0:
+        for a in range(mid - 1, -1, -1):
+            if values[a] <= 0.0:
+                b = a + 1
+                tau = taus[a] - values[a] * (taus[b] - taus[a]) \
+                    / (values[b] - values[a])
+                return min(max(0.5 - tau, 0.0), 0.5), 1
+        return 0.5, 1
+    for b in range(mid + 1, len(taus)):
+        if values[b] >= 0.0:
+            a = b - 1
+            tau = taus[a] - values[a] * (taus[b] - taus[a]) \
+                / (values[b] - values[a])
+            return min(max(tau - 0.5, 0.0), 0.5), 0
+    return 0.5, 0
+
+
+def _rowwise_moments(values, h):
+    """Reference: composite Simpson over the smoothed function's values."""
+    taus = np.linspace(0.0, 1.0, 1001)
+    q = smooth(values, GRID, h)(taus)
+
+    def simpson(fx):
+        return (taus[1] - taus[0]) / 3.0 * (
+            fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum())
+
+    mean = simpson(q)
+    return mean, simpson(q ** 2) - mean ** 2
+
+
+class TestBatchAgainstRowwise:
+    @pytest.fixture(scope="class")
+    def preds(self):
+        rng = np.random.default_rng(21)
+        n = 400
+        monotone = np.sort(rng.normal(size=(n, 9)), axis=1) \
+            * rng.uniform(0.1, 3.0, (n, 1)) + rng.normal(0.0, 1.0, (n, 1))
+        crossing = rng.normal(size=(n, 9))
+        zero_median = np.sort(rng.normal(size=(n, 9)), axis=1)
+        zero_median[:, GRID.median_index] = 0.0
+        all_pos = np.abs(rng.normal(size=(n, 9))) + 0.1
+        all_neg = -np.abs(rng.normal(size=(n, 9))) - 0.1
+        ties = rng.integers(-2, 3, (n, 9)).astype(float)
+        return np.vstack([monotone, crossing, zero_median, all_pos, all_neg,
+                          ties])
+
+    def test_delta_and_label_exact(self, preds):
+        scores = delta_scores(preds, GRID)
+        ref = [_rowwise_delta(row, GRID.array, GRID.median_index)
+               for row in preds]
+        assert np.array_equal(scores.delta, [d for d, _ in ref])
+        assert np.array_equal(scores.predicted_label, [lab for _, lab in ref])
+        one = delta_score(preds[7], GRID)
+        assert (one.delta, one.predicted_label) == ref[7]
+
+    @pytest.mark.parametrize("level", [0.2, 0.25, 0.5, 0.8])
+    def test_intervals_exact(self, preds, level):
+        lo, hi = prediction_intervals(preds, GRID, level)
+        taus = GRID.array
+        assert np.array_equal(
+            lo, [np.interp(0.5 * level, taus, row) for row in preds])
+        assert np.array_equal(
+            hi, [np.interp(1.0 - 0.5 * level, taus, row) for row in preds])
+        assert prediction_interval(preds[3], GRID, level) == (lo[3], hi[3])
+
+    @pytest.mark.parametrize("h", [0.05, 0.1])
+    def test_mean_and_variance(self, preds, h):
+        rows = preds[::12]
+        mean, var = conditional_moments(rows, GRID, h)
+        ref = np.array([_rowwise_moments(row, h) for row in rows])
+        assert np.abs(mean - ref[:, 0]).max() <= 1e-12
+        assert np.abs(var - ref[:, 1]).max() <= 1e-12
+        sq = smooth(rows[5], GRID, h)
+        assert abs(conditional_mean(sq) - ref[5, 0]) <= 1e-12
+        assert abs(conditional_stat(sq, "variance") - ref[5, 1]) <= 1e-12
+
+    def test_batch_validates(self):
+        with pytest.raises(ValueError):
+            conditional_moments(np.zeros((3, 5)), GRID)
+        with pytest.raises(DomainError):
+            conditional_moments(np.zeros((3, 9)), GRID, h=0.0)
+        with pytest.raises(ValueError):
+            delta_scores(np.zeros(9), GRID)
