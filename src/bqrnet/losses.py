@@ -13,10 +13,6 @@ import numpy as np
 
 from .network import ShapeError, TauGrid
 
-# clamp for probabilities before taking logs; keeps the loss finite for
-# arbitrarily large latents at a cost < 1e-11 in loss value
-_P_EPS = 1e-12
-
 BQR = "bqr"
 BCE = "bce"
 
@@ -49,6 +45,32 @@ def _check_tau(tau):
     return tau
 
 
+def _bqr_terms(y, z, tau):
+    """Per-level loss and d(loss)/dz in log space, broadcast over (y, z, tau).
+
+    With k = tau - 1 for z > 0 and k = tau for z <= 0, a = k z <= 0, and
+    c = tau for z > 0 and c = 1 - tau for z <= 0, the probability of the
+    label the sign of z disfavours is ce = c e^a. On the near side (the label
+    agrees with the sign of z) the loss is -log1p(-ce) with gradient
+    ce k / (1 - ce); on the far side it is -(log c + a) with gradient -k.
+    Both are exact for every finite z. ``y`` holds 0/1 labels; tau is not
+    validated here.
+    """
+    pos = z > 0
+    k = np.where(pos, tau - 1.0, tau)
+    a = k * z
+    c = np.where(pos, tau, 1.0 - tau)
+    ce = c * np.exp(a)
+    near = (y == 1) == pos
+    loss = np.where(near, -np.log1p(-ce), -(np.log(c) + a))
+    grad = np.where(near, ce * k / (1.0 - ce), -k)
+    return loss, grad
+
+
+def _scalar_or_array(out):
+    return float(out) if out.ndim == 0 else out
+
+
 def prob_pos(z, tau):
     """P(label = 1) for latent quantile value z at level tau.
 
@@ -59,22 +81,18 @@ def prob_pos(z, tau):
     tau = _check_tau(tau)
     z = np.asarray(z, dtype=float)
     pos = z > 0
-    p = np.where(pos,
-                 1.0 - tau * np.exp(np.minimum(tau - 1.0, 0.0) * np.abs(z)),
-                 (1.0 - tau) * np.exp(tau * np.minimum(z, 0.0)))
-    if p.ndim == 0:
-        return float(p)
-    return p
+    ce = np.where(pos, tau, 1.0 - tau) \
+        * np.exp(np.where(pos, tau - 1.0, tau) * z)
+    return _scalar_or_array(np.where(pos, 1.0 - ce, ce))
 
 
 def bqr_loss(y, z, tau):
-    """Negative log-likelihood of a binary label under the latent model."""
-    p = np.clip(prob_pos(z, tau), _P_EPS, 1.0 - _P_EPS)
-    y = np.asarray(y, dtype=float)
-    out = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """Negative log-likelihood of a 0/1 label under the latent model, exact
+    for every finite z."""
+    tau = _check_tau(tau)
+    loss, _ = _bqr_terms(np.asarray(y, dtype=float),
+                         np.asarray(z, dtype=float), tau)
+    return _scalar_or_array(loss)
 
 
 def bqr_grad_z(y, z, tau):
@@ -88,21 +106,16 @@ def bqr_grad_z(y, z, tau):
     The magnitude never exceeds max(tau, 1-tau).
     """
     tau = _check_tau(tau)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    pos = z > 0
-    zp = np.where(pos, z, 0.0)
-    zn = np.where(pos, 0.0, z)
-    e_pos = np.exp((tau - 1.0) * zp)
-    e_neg = np.exp(tau * zn)
-    g_pos = y * (-tau * (1.0 - tau) * e_pos / (1.0 - tau * e_pos)) \
-        + (1.0 - y) * (1.0 - tau)
-    g_neg = y * (-tau) \
-        + (1.0 - y) * (tau * (1.0 - tau) * e_neg / (1.0 - (1.0 - tau) * e_neg))
-    g = np.where(pos, g_pos, g_neg)
-    if g.ndim == 0:
-        return float(g)
-    return g
+    _, grad = _bqr_terms(np.asarray(y, dtype=float),
+                         np.asarray(z, dtype=float), tau)
+    return _scalar_or_array(grad)
+
+
+def _hinge(values):
+    """Per-row crossing penalty and the mask of strictly violating pairs."""
+    diff = values[..., :-1] - values[..., 1:]
+    active = diff > 0.0
+    return np.where(active, diff, 0.0).sum(axis=-1), active
 
 
 def crossing_penalty(values):
@@ -121,62 +134,67 @@ def crossing_penalty(values):
         squeeze = False
     if values.shape[-1] < 2:
         raise ShapeError("crossing penalty needs at least two quantile levels")
-    diff = values[..., :-1] - values[..., 1:]
-    active = diff > 0.0
-    penalty = np.where(active, diff, 0.0).sum(axis=-1)
+    penalty, active = _hinge(values)
     sub = np.zeros_like(values)
-    sub[..., :-1] += active.astype(float)
-    sub[..., 1:] -= active.astype(float)
+    sub[..., :-1] += active
+    sub[..., 1:] -= active
     if squeeze:
         return float(penalty[0]), sub[0]
     return penalty, sub
 
 
-def total_loss(y, pred, spec: LossSpec):
-    """Per-sample loss: sum of per-level losses plus lam * crossing penalty.
+def _loss_and_grad(y, z, spec: LossSpec):
+    """Per-sample total loss and d(total loss)/dz for labels y (n,) and
+    predictions z (n, m), in one pass.
 
-    For the cross-entropy baseline the single output is passed through a
-    sigmoid and scored with standard binary cross-entropy.
+    The BQR loss sums the per-level log-space terms of ``_bqr_terms`` and
+    adds lam times the crossing hinge, whose subgradient goes into the
+    gradient in place. The cross-entropy baseline scores the single output
+    as a logit: log(1 + e^z) - y z, with gradient sigmoid(z) - y.
     """
+    if z.shape[-1] != len(spec.grid):
+        raise ShapeError("prediction length does not match grid size")
+    if spec.kind == BCE:
+        z0 = z[:, 0]
+        grad = np.zeros_like(z)
+        grad[:, 0] = _sigmoid(z0) - y
+        return np.logaddexp(0.0, z0) - y * z0, grad
+    loss, grad = _bqr_terms(y[:, None], z, spec.grid.array)
+    loss = loss.sum(axis=1)
+    if spec.lam > 0 and z.shape[1] >= 2:
+        penalty, active = _hinge(z)
+        loss += spec.lam * penalty
+        step = spec.lam * active
+        grad[:, :-1] += step
+        grad[:, 1:] -= step
+    return loss, grad
+
+
+def _as_rows(y, pred):
     pred = np.asarray(pred, dtype=float)
     single = pred.ndim == 1
     if single:
         pred = pred[None, :]
-    if pred.shape[-1] != len(spec.grid):
-        raise ShapeError("prediction length does not match grid size")
-    y = np.asarray(y, dtype=float)
-    if spec.kind == BCE:
-        p = _sigmoid(pred[:, 0])
-        p = np.clip(p, _P_EPS, 1.0 - _P_EPS)
-        loss = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-    else:
-        taus = spec.grid.array
-        loss = bqr_loss(y[..., None] if not single else y, pred, taus).sum(axis=-1)
-        if spec.lam > 0 and pred.shape[-1] >= 2:
-            pen, _ = crossing_penalty(pred)
-            loss = loss + spec.lam * pen
+    y = np.asarray(y, dtype=float).reshape(-1)
+    return y, pred, single
+
+
+def total_loss(y, pred, spec: LossSpec):
+    """Per-sample loss: sum of per-level losses plus lam * crossing penalty.
+
+    For the cross-entropy baseline the single output is a logit scored with
+    standard binary cross-entropy.
+    """
+    y, pred, single = _as_rows(y, pred)
+    loss, _ = _loss_and_grad(y, pred, spec)
     return float(loss[0]) if single else loss
 
 
 def total_grad(y, pred, spec: LossSpec):
     """d(total_loss)/d(pred), vectorized over rows."""
-    pred = np.asarray(pred, dtype=float)
-    single = pred.ndim == 1
-    if single:
-        pred = pred[None, :]
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 0:
-        y = y[None]
-    if spec.kind == BCE:
-        g = np.zeros_like(pred)
-        g[:, 0] = _sigmoid(pred[:, 0]) - y
-    else:
-        taus = spec.grid.array
-        g = bqr_grad_z(y[:, None], pred, taus)
-        if spec.lam > 0 and pred.shape[-1] >= 2:
-            _, sub = crossing_penalty(pred)
-            g = g + spec.lam * sub
-    return g[0] if single else g
+    y, pred, single = _as_rows(y, pred)
+    _, grad = _loss_and_grad(y, pred, spec)
+    return grad[0] if single else grad
 
 
 def _sigmoid(z):
@@ -244,7 +262,8 @@ def curvature_bounds(tau: float, m_bound: float) -> CurvatureBounds:
 
 
 def backward(net, x, y, spec: LossSpec):
-    """Gradient of the mean total loss over a batch w.r.t. every parameter.
+    """Gradient of the mean total loss over a batch of 0/1 labels w.r.t.
+    every parameter.
 
     Returns (Gradients, mean loss). The analytic gradient matches central
     finite differences away from the loss and ReLU kinks.
@@ -260,8 +279,7 @@ def backward(net, x, y, spec: LossSpec):
     z, acts, pres = forward_cached(net, x)
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite network output")
-    n = x.shape[0]
-    dz = total_grad(y, z, spec) / n
+    loss, dz = _loss_and_grad(y, z, spec)
+    dz /= x.shape[0]
     grads = backprop_from_outputs(net, acts, pres, dz)
-    loss = float(np.mean(total_loss(y, z, spec)))
-    return grads, loss
+    return grads, float(np.mean(loss))

@@ -17,6 +17,10 @@ DEFAULT_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 CHECKPOINT_VERSION = "bqrnet-ckpt-1"
 
+# Rows per trunk pass in ``forward``. Hidden activations are held for one
+# block at a time (1024 x 64 float64 is 512 KiB), not for the whole batch.
+FORWARD_BLOCK_ROWS = 1024
+
 
 class ArchitectureError(ValueError):
     """Raised for invalid layer configurations."""
@@ -143,7 +147,9 @@ def forward(net: QuantileNet, x: np.ndarray) -> np.ndarray:
     """Evaluate the latent quantile vector(s) for one sample or a batch.
 
     A 1-d input of length input_dim returns a vector of length m; a 2-d
-    (n, input_dim) batch returns (n, m).
+    (n, input_dim) batch returns (n, m). Rows go through the trunk in blocks
+    of FORWARD_BLOCK_ROWS, so the hidden activations of a large batch are
+    never held at once.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -154,10 +160,22 @@ def forward(net: QuantileNet, x: np.ndarray) -> np.ndarray:
             f"expected inputs with {net.input_dim} features, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("inputs must be finite")
-    a = x
-    for w, b in zip(net.trunk_w, net.trunk_b):
-        a = np.maximum(a @ w.T + b, 0.0)
-    z = a @ net.head_w.T + net.head_b
+    n = x.shape[0]
+    z = np.empty((n, net.n_heads))
+    # one activation buffer per layer, reused by every block
+    bufs = [np.empty((min(n, FORWARD_BLOCK_ROWS), w.shape[0]))
+            for w in net.trunk_w]
+    for start in range(0, n, FORWARD_BLOCK_ROWS):
+        stop = start + FORWARD_BLOCK_ROWS
+        a = x[start:stop]
+        for w, b, buf in zip(net.trunk_w, net.trunk_b, bufs):
+            out = buf[:a.shape[0]]
+            np.matmul(a, w.T, out=out)
+            out += b
+            np.maximum(out, 0.0, out=out)
+            a = out
+        np.matmul(a, net.head_w.T, out=z[start:stop])
+    z += net.head_b
     return z[0] if single else z
 
 
@@ -183,8 +201,8 @@ def backprop_from_outputs(net: QuantileNet, acts, pres,
     the caller baked into dz (mean over the batch happens upstream).
     ReLU uses the right-derivative at its kink (pre >= 0 passes gradient).
     """
-    gw = [np.zeros_like(w) for w in net.trunk_w]
-    gb = [np.zeros_like(b) for b in net.trunk_b]
+    gw = [None] * len(net.trunk_w)
+    gb = [None] * len(net.trunk_b)
     ghw = dz.T @ acts[-1]
     ghb = dz.sum(axis=0)
     da = dz @ net.head_w
@@ -202,11 +220,6 @@ class Gradients:
     trunk_b: list
     head_w: np.ndarray
     head_b: np.ndarray
-
-    def scale(self, s: float) -> "Gradients":
-        return Gradients([w * s for w in self.trunk_w],
-                         [b * s for b in self.trunk_b],
-                         self.head_w * s, self.head_b * s)
 
 
 def apply_step(net: QuantileNet, grad: Gradients, eta: float) -> None:

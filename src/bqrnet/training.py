@@ -103,16 +103,16 @@ def estimate_kz(net: QuantileNet, x: np.ndarray,
     if x.shape[0] == 0:
         raise ShapeError("empty batch")
     _, acts, pres = forward_cached(net, x)
-    best = 0.0
+    # per-row max(|a|, 1) of each layer's input; the last entry also bounds
+    # every head's own gradient (trunk output activations and 1 for the bias)
+    a_scale = [np.maximum(np.abs(a).max(axis=1), 1.0) for a in acts]
+    masks = [pre >= 0.0 for pre in pres]
+    best = float(a_scale[-1].max())
     for j in range(net.n_heads):
-        # head-j parameter gradients: trunk output activations and 1 (bias)
-        head_best = np.maximum(np.abs(acts[-1]).max(axis=1), 1.0)
-        best = max(best, float(head_best.max()))
         delta = np.broadcast_to(net.head_w[j], acts[-1].shape)
         for i in range(len(net.trunk_w) - 1, -1, -1):
-            dpre = delta * (pres[i] >= 0.0)
-            a_prev = np.abs(acts[i]).max(axis=1) if acts[i].shape[1] else 0.0
-            layer_best = np.abs(dpre).max(axis=1) * np.maximum(a_prev, 1.0)
+            dpre = delta * masks[i]
+            layer_best = np.abs(dpre).max(axis=1) * a_scale[i]
             best = max(best, float(layer_best.max()))
             delta = dpre @ net.trunk_w[i]
     return max(best, kz_floor)
@@ -137,7 +137,8 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
           spec: losses.LossSpec, cfg: TrainConfig,
           eval_x: Optional[np.ndarray] = None,
           eval_y: Optional[np.ndarray] = None):
-    """Run minibatch SGD; returns (trained net copy, TrainTrace).
+    """Run minibatch SGD on 0/1 labels; returns (trained net copy,
+    TrainTrace).
 
     Per-epoch accuracy is computed on (eval_x, eval_y) if given, else on the
     training set. In lalr mode k_z is re-estimated once per epoch from the
@@ -149,6 +150,8 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
         raise ShapeError("features and labels are misaligned")
     if x.shape[0] == 0:
         raise ShapeError("empty dataset")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("labels must be 0 or 1")
     net = net.copy()
     trace = TrainTrace(records=[])
     n = x.shape[0]

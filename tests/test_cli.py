@@ -60,6 +60,19 @@ class TestSimulate:
         assert sum(labels) == 100
 
 
+def test_successive_calls_do_not_share_options(tmp_path):
+    from bqrnet import cli
+    assert cli._parser() is cli._parser()
+    p80, default = tmp_path / "p80.csv", tmp_path / "default.csv"
+    for extra, out in ((["--threshold", "p80"], p80), ([], default)):
+        assert run(["simulate", "--id", "D1", "--n", "500", "--seed", "1",
+                    *extra, "--out", out]) == 0
+    for path, positives in ((p80, 100), (default, 250)):
+        labels = [int(l.rsplit(",", 1)[1])
+                  for l in path.read_text().splitlines()[1:]]
+        assert sum(labels) == positives
+
+
 class TestTrain:
     def test_writes_artifacts(self, trained):
         assert (trained / "checkpoint.npz").exists()

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bqrnet.losses import (BCE, BQR, DomainError, LossSpec, backward,
-                           bqr_grad_z, bqr_loss, crossing_penalty,
+from bqrnet.losses import (BCE, BQR, DomainError, LossSpec, _loss_and_grad,
+                           backward, bqr_grad_z, bqr_loss, crossing_penalty,
                            curvature_bounds, lipschitz_const, prob_pos,
                            total_grad, total_loss)
 from bqrnet.network import (TauGrid, flatten_grad, flatten_params, forward,
@@ -75,6 +75,18 @@ class TestBqrLoss:
         out = bqr_loss(y, z, 0.5)
         assert out.shape == (2,)
         assert out[0] == pytest.approx(np.log(2))
+
+
+    def test_exact_where_a_probability_clamp_would_saturate(self):
+        # y=0, z=30, tau=0.1: 1 - p = 0.1 e^{-27} ~ 1.9e-13, below a 1e-12
+        # clamp, which read 27.63; the loss keeps its slope 1 - tau = 0.9
+        assert bqr_loss(0, 30.0, 0.1) == pytest.approx(
+            -(np.log(0.1) - 0.9 * 30.0), rel=1e-15)
+        assert bqr_grad_z(0, 30.0, 0.1) == pytest.approx(0.9, abs=1e-15)
+        eps = 1e-3
+        fd = (bqr_loss(0, 30.0 + eps, 0.1)
+              - bqr_loss(0, 30.0 - eps, 0.1)) / (2 * eps)
+        assert fd == pytest.approx(0.9, abs=1e-9)
 
 
 class TestBqrGrad:
@@ -192,6 +204,91 @@ class TestTotalLoss:
                     pm[j] -= eps
                     fd = (total_loss(y, pp, spec) - total_loss(y, pm, spec)) / (2 * eps)
                     assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+def reference_loss_and_grad(y, pred, spec, dtype=np.longdouble):
+    """The total loss and gradient as computed before the fused kernel:
+    probability map, clamped log-likelihood, branch-wise gradient and a
+    separate crossing penalty, evaluated in ``dtype``."""
+    eps = 1e-12
+    y = np.asarray(y, dtype=dtype)
+    z = np.asarray(pred, dtype=dtype)
+    if spec.kind == BCE:
+        s = 1 / (1 + np.exp(-z[:, 0]))
+        p = np.clip(s, eps, 1 - eps)
+        loss = -(y * np.log(p) + (1 - y) * np.log1p(-p))
+        grad = np.zeros_like(z)
+        grad[:, 0] = s - y
+        return loss, grad
+    tau = np.asarray(spec.grid.levels, dtype=dtype)
+    y = y[:, None]
+    pos = z > 0
+    p = np.where(pos,
+                 1 - tau * np.exp(np.minimum(tau - 1, 0) * np.abs(z)),
+                 (1 - tau) * np.exp(tau * np.minimum(z, 0)))
+    p = np.clip(p, eps, 1 - eps)
+    loss = (-(y * np.log(p) + (1 - y) * np.log1p(-p))).sum(axis=-1)
+    e_pos = np.exp((tau - 1) * np.where(pos, z, 0))
+    e_neg = np.exp(tau * np.where(pos, 0, z))
+    g_pos = y * (-tau * (1 - tau) * e_pos / (1 - tau * e_pos)) \
+        + (1 - y) * (1 - tau)
+    g_neg = y * (-tau) \
+        + (1 - y) * (tau * (1 - tau) * e_neg / (1 - (1 - tau) * e_neg))
+    grad = np.where(pos, g_pos, g_neg)
+    if spec.lam > 0 and z.shape[-1] >= 2:
+        diff = z[:, :-1] - z[:, 1:]
+        active = diff > 0
+        loss = loss + spec.lam * np.where(active, diff, 0).sum(axis=-1)
+        sub = np.zeros_like(z)
+        sub[:, :-1] += active
+        sub[:, 1:] -= active
+        grad = grad + spec.lam * sub
+    return loss, grad
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the reference needs an extended-precision "
+                           "long double")
+class TestFusedKernel:
+    @pytest.mark.parametrize("grid, lam, kind", [
+        (TauGrid.default(), 0.0, BQR),
+        (TauGrid.default(), 1.0, BQR),
+        (TauGrid((0.3,)), 0.0, BQR),
+        (TauGrid((0.3,)), 1.0, BQR),
+        (TauGrid((0.5,)), 0.0, BCE),
+        (TauGrid((0.5,)), 1.0, BCE),
+    ])
+    def test_matches_reference_formulas(self, grid, lam, kind):
+        spec = LossSpec(grid=grid, lam=lam, kind=kind)
+        rng = np.random.default_rng(len(grid) + int(lam) + len(kind))
+        n = 4000
+        y = rng.integers(0, 2, n).astype(float)
+        z = rng.uniform(-12, 12, (n, len(grid)))
+        loss, grad = _loss_and_grad(y, z, spec)
+        # the reference loss is taken in extended precision: in float64 its
+        # far-side log(1 - p) loses up to 3e-11 to cancellation in 1 - p
+        # near |z| = 12; its gradient has no such term and runs in float64
+        ref_loss, _ = reference_loss_and_grad(y, z, spec)
+        _, ref_grad = reference_loss_and_grad(y, z, spec, dtype=float)
+        assert loss.shape == (n,) and grad.shape == z.shape
+        assert np.abs(loss - ref_loss).max() <= 1e-12
+        assert np.abs(grad - ref_grad).max() <= 1e-15
+
+    def test_public_wrappers_are_the_kernel(self):
+        spec = LossSpec(grid=TauGrid.default(), lam=1.0)
+        rng = np.random.default_rng(8)
+        y = rng.integers(0, 2, 50).astype(float)
+        z = rng.uniform(-5, 5, (50, 9))
+        loss, grad = _loss_and_grad(y, z, spec)
+        assert np.array_equal(total_loss(y, z, spec), loss)
+        assert np.array_equal(total_grad(y, z, spec), grad)
+        assert total_loss(y[3], z[3], spec) == loss[3]
+        assert np.array_equal(total_grad(y[3], z[3], spec), grad[3])
+
+    def test_grid_length_mismatch(self):
+        spec = LossSpec(grid=TauGrid.default())
+        with pytest.raises(ValueError):
+            _loss_and_grad(np.zeros(2), np.zeros((2, 3)), spec)
 
 
 class TestLipschitz:

@@ -129,6 +129,46 @@ class TestForward:
         assert np.allclose(acts[-1], np.maximum(pres[-1], 0.0))
 
 
+def forward_unblocked(net, x):
+    """The forward pass over all rows at once, as before row blocking."""
+    a = x
+    for w, b in zip(net.trunk_w, net.trunk_b):
+        a = np.maximum(a @ w.T + b, 0.0)
+    return a @ net.head_w.T + net.head_b
+
+
+class TestBlockedForward:
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 5000])
+    def test_matches_unblocked(self, n):
+        net = init_net(3, [64, 64], TauGrid.default(), seed=12)
+        x = np.random.default_rng(n).normal(size=(n, 3))
+        out = forward(net, x)
+        assert out.shape == (n, 9)
+        assert np.abs(out - forward_unblocked(net, x)).max() <= 1e-12
+
+    def test_single_row_vector(self):
+        net = init_net(3, [64, 64], TauGrid.default(), seed=12)
+        x = np.random.default_rng(4).normal(size=3)
+        out = forward(net, x)
+        assert out.shape == (9,)
+        assert np.abs(out - forward_unblocked(net, x[None, :])[0]).max() \
+            <= 1e-12
+
+    def test_nan_in_a_later_block_rejected(self):
+        net = init_net(1, [4], TauGrid.default(), seed=1)
+        x = np.zeros((2500, 1))
+        x[2100, 0] = np.nan
+        with pytest.raises(ValueError):
+            forward(net, x)
+
+    def test_input_left_unchanged(self):
+        net = init_net(2, [5], TauGrid.default(), seed=3)
+        x = np.random.default_rng(5).normal(size=(1500, 2))
+        before = x.copy()
+        forward(net, x)
+        assert np.array_equal(x, before)
+
+
 class TestBackprop:
     def test_matches_finite_difference(self):
         # d(sum of outputs)/d(params) against central differences

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bqrnet.losses import DomainError, LossSpec
-from bqrnet.network import (TauGrid, flatten_params, forward, init_net,
-                            unflatten_params)
+from bqrnet.network import (TauGrid, flatten_params, forward, forward_cached,
+                            init_net, unflatten_params)
 from bqrnet.training import (EpochRecord, NotReached, TrainConfig, TrainTrace,
                              TrainingDiverged, epochs_to_target, estimate_kz,
                              lalr_eta, train)
@@ -28,6 +28,23 @@ def offset_blob_data(n=400, seed=7):
                         rng.normal([0.9, 0.9], 0.12, (n // 2, 2))])
     y = np.concatenate([np.zeros(n // 2), np.ones(n // 2)])
     return x, y
+
+
+def estimate_kz_per_head(net, x, kz_floor=1e-3):
+    """estimate_kz as a loop that recomputes every term for each head."""
+    _, acts, pres = forward_cached(net, np.atleast_2d(x))
+    best = 0.0
+    for j in range(net.n_heads):
+        head_best = np.maximum(np.abs(acts[-1]).max(axis=1), 1.0)
+        best = max(best, float(head_best.max()))
+        delta = np.broadcast_to(net.head_w[j], acts[-1].shape)
+        for i in range(len(net.trunk_w) - 1, -1, -1):
+            dpre = delta * (pres[i] >= 0.0)
+            a_prev = np.abs(acts[i]).max(axis=1)
+            layer_best = np.abs(dpre).max(axis=1) * np.maximum(a_prev, 1.0)
+            best = max(best, float(layer_best.max()))
+            delta = dpre @ net.trunk_w[i]
+    return max(best, kz_floor)
 
 
 class TestEstimateKz:
@@ -71,6 +88,16 @@ class TestEstimateKz:
         net = init_net(1, [4], TauGrid.default(), seed=0)
         with pytest.raises(ValueError):
             estimate_kz(net, np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("input_dim, trunk, seed", [
+        (1, [64, 64], 0), (1, [64, 64], 1), (3, [16, 8, 4], 2),
+        (2, [32], 3)])
+    def test_identical_to_per_head_loop(self, input_dim, trunk, seed):
+        net = init_net(input_dim, trunk, TauGrid.default(), seed=seed)
+        rng = np.random.default_rng(seed)
+        net.trunk_b[0][:] = rng.normal(size=trunk[0])
+        x = rng.normal(0.0, 2.0, size=(128, input_dim))
+        assert estimate_kz(net, x, 1e-12) == estimate_kz_per_head(net, x, 1e-12)
 
 
 class TestLalrEta:
@@ -188,6 +215,13 @@ class TestTrain:
         net = init_net(1, [4], TauGrid.default(), seed=9)
         with pytest.raises(ValueError):
             train(net, np.zeros((3, 1)), np.zeros(2),
+                  LossSpec(grid=TauGrid.default()),
+                  TrainConfig(epochs=1, batch_size=2))
+
+    def test_non_binary_labels_rejected(self):
+        net = init_net(1, [4], TauGrid.default(), seed=9)
+        with pytest.raises(ValueError, match="0 or 1"):
+            train(net, np.zeros((3, 1)), np.array([0.0, 0.5, 1.0]),
                   LossSpec(grid=TauGrid.default()),
                   TrainConfig(epochs=1, batch_size=2))
 
