@@ -45,13 +45,12 @@ def _load_config(path):
     return data
 
 
-def _merge(config: dict, args: argparse.Namespace, keys) -> dict:
-    """Config-file values overridden by any explicitly passed flags."""
-    out = dict(config)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
+def _resolve(args: argparse.Namespace) -> dict:
+    """The config file's values overridden by every flag the command was
+    given; the parser gives each command only the flags it uses."""
+    out = _load_config(args.config)
+    out.update((key, val) for key, val in vars(args).items()
+               if val is not None and key not in ("command", "fn", "config"))
     return out
 
 
@@ -61,13 +60,19 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _list(cfg: dict, key: str, kind, default) -> list:
+    """cfg[key] as a list of ``kind``: a flag gives comma-separated text, a
+    config file a list or a single value."""
+    val = cfg.get(key)
+    if val is None:
+        return default
+    if isinstance(val, str):
+        val = val.split(",")
+    return [kind(v) for v in np.atleast_1d(val)]
+
+
 def _parse_grid(cfg: dict) -> network.TauGrid:
-    levels = cfg.get("grid")
-    if levels is None:
-        return network.TauGrid.default()
-    if isinstance(levels, str):
-        levels = [float(v) for v in levels.split(",")]
-    return network.TauGrid(tuple(levels))
+    return network.TauGrid(_list(cfg, "grid", float, network.DEFAULT_GRID))
 
 
 def _resolve_threshold(spec, latent):
@@ -128,8 +133,7 @@ def _outdir(cfg: dict) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _merge(_load_config(args.config), args,
-                 ["dataset_id", "n", "seed", "threshold", "out"])
+    cfg = _resolve(args)
     ds = datasets.gen_dataset(_require(cfg, "dataset_id"),
                               int(cfg.get("n", 10000)), int(cfg.get("seed", 0)))
     thr = _resolve_threshold(cfg.get("threshold", "median"), ds.latent)
@@ -142,16 +146,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _merge(_load_config(args.config), args,
-                 ["dataset_id", "n", "seed", "threshold", "data",
-                  "label_column", "latent_column", "trunk", "grid", "lam",
-                  "loss", "lr", "epochs", "batch_size", "out"])
+    cfg = _resolve(args)
     ds = _load_dataset(cfg)
     grid = _parse_grid(cfg)
     spec = _loss_spec(cfg, grid)
-    trunk = cfg.get("trunk", [64, 64])
-    if isinstance(trunk, str):
-        trunk = [int(v) for v in trunk.split(",")]
+    trunk = _list(cfg, "trunk", int, [64, 64])
     net = network.init_net(ds.dim, trunk, spec.grid, seed=int(cfg.get("seed", 0)))
     tcfg = _train_config(cfg)
     out = _outdir(cfg)
@@ -176,9 +175,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _merge(_load_config(args.config), args,
-                 ["dataset_id", "n", "seed", "threshold", "data",
-                  "label_column", "latent_column", "checkpoint", "out"])
+    cfg = _resolve(args)
     ds = _load_dataset(cfg)
     net = network.load_checkpoint(_require(cfg, "checkpoint"))
     grid = net.grid
@@ -211,21 +208,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
-    cfg = _merge(_load_config(args.config), args,
-                 ["dataset_id", "n", "seed", "threshold", "trunk", "grid",
-                  "lam", "lr", "epochs", "batch_size", "out", "fractions"])
-    fractions = cfg.get("fractions", [0.0, 0.1, 0.2, 0.3, 0.4])
-    if isinstance(fractions, str):
-        fractions = [float(v) for v in fractions.split(",")]
+    cfg = _resolve(args)
+    fractions = _list(cfg, "fractions", float, [0.0, 0.1, 0.2, 0.3, 0.4])
     for f in fractions:
         if not 0.0 <= f <= 0.5:
             raise ValidationError(f"flip fraction {f} outside [0, 0.5]")
     ds = _load_dataset(cfg)
     grid = _parse_grid(cfg)
     seed = int(cfg.get("seed", 0))
-    trunk = cfg.get("trunk", [64, 64])
-    if isinstance(trunk, str):
-        trunk = [int(v) for v in trunk.split(",")]
+    trunk = _list(cfg, "trunk", int, [64, 64])
     tcfg = _train_config(cfg)
     rows = {"bce": [], "bqr": []}
     for frac in fractions:
@@ -251,18 +242,13 @@ def cmd_noise_sweep(args) -> int:
 
 
 def cmd_lalr_bench(args) -> int:
-    cfg = _merge(_load_config(args.config), args,
-                 ["dataset_id", "n", "seed", "threshold", "data",
-                  "label_column", "trunk", "grid", "lam", "epochs",
-                  "batch_size", "out", "target_acc"])
+    cfg = _resolve(args)
     target = float(cfg.get("target_acc", 0.97))
     ds = _load_dataset(cfg)
     grid = _parse_grid(cfg)
     spec = _loss_spec(cfg, grid)
     seed = int(cfg.get("seed", 0))
-    trunk = cfg.get("trunk", [32, 32])
-    if isinstance(trunk, str):
-        trunk = [int(v) for v in trunk.split(",")]
+    trunk = _list(cfg, "trunk", int, [32, 32])
     results = []
     for mode, eta in ((training.FIXED, 0.01), (training.FIXED, 0.1),
                       (training.LALR, 0.1)):
@@ -285,10 +271,7 @@ def cmd_lalr_bench(args) -> int:
 
 
 def cmd_smooth(args) -> int:
-    cfg = _merge(_load_config(args.config), args,
-                 ["dataset_id", "n", "seed", "threshold", "data",
-                  "label_column", "latent_column", "checkpoint", "out",
-                  "bandwidth", "pi_level"])
+    cfg = _resolve(args)
     ds = _load_dataset(cfg)
     net = network.load_checkpoint(_require(cfg, "checkpoint"))
     grid = net.grid
@@ -320,8 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Latent-quantile binary classification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **help_kw):
-        p = sub.add_parser(name, **help_kw)
+    for name, fn in (("simulate", cmd_simulate), ("train", cmd_train),
+                     ("evaluate", cmd_evaluate),
+                     ("noise-sweep", cmd_noise_sweep),
+                     ("lalr-bench", cmd_lalr_bench), ("smooth", cmd_smooth)):
+        p = sub.add_parser(name, help="generate a simulated dataset CSV"
+                           if name == "simulate" else f"{name} command")
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="YAML config file; flags override it")
         p.add_argument("--id", dest="dataset_id",
@@ -331,25 +318,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold",
                        help="binarization threshold: number, 'median', or 'p80'")
         p.add_argument("--out", help="output directory (or file for simulate)")
-        return p
-
-    add("simulate", cmd_simulate, help="generate a simulated dataset CSV")
-
-    for name, fn in (("train", cmd_train), ("evaluate", cmd_evaluate),
-                     ("noise-sweep", cmd_noise_sweep),
-                     ("lalr-bench", cmd_lalr_bench), ("smooth", cmd_smooth)):
-        p = add(name, fn, help=f"{name} command")
+        if name == "simulate":
+            continue
         p.add_argument("--data", help="CSV dataset path")
         p.add_argument("--label-column", dest="label_column")
         p.add_argument("--latent-column", dest="latent_column")
-        p.add_argument("--trunk", help="comma-separated trunk widths")
-        p.add_argument("--grid", help="comma-separated quantile levels")
-        p.add_argument("--lam", type=float, help="crossing penalty weight")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        if name in ("train", "noise-sweep"):
-            p.add_argument("--loss", choices=["bqr", "bce"])
         if name in ("train", "noise-sweep", "lalr-bench"):
+            p.add_argument("--trunk", help="comma-separated trunk widths")
+            p.add_argument("--grid", help="comma-separated quantile levels")
+            p.add_argument("--lam", type=float, help="crossing penalty weight")
+            p.add_argument("--epochs", type=int)
+            p.add_argument("--batch-size", dest="batch_size", type=int)
+        if name == "train":
+            p.add_argument("--loss", choices=["bqr", "bce"])
+        if name in ("train", "noise-sweep"):
             p.add_argument("--lr", help="'lalr' or a fixed learning rate")
         if name in ("evaluate", "smooth"):
             p.add_argument("--checkpoint")

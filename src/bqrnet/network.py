@@ -1,14 +1,18 @@
 """Feed-forward ReLU network with a shared trunk and one linear head per quantile level.
 
-All math is plain numpy in float64. Forward and backward are pure functions of
-(net, inputs); nothing here mutates a network in place except the SGD step in
-``training``, which owns its copy.
+All math is plain numpy in float64. Every parameter of a network lives in one
+flat vector, and every gradient in another laid out the same way. Forward and
+backward are pure functions of (net, inputs); the only in-place change to a
+network is ``apply_step``, the SGD step, which ``training`` applies to its own
+copy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -76,49 +80,68 @@ class TauGrid:
         return bool(np.all(np.abs(arr + arr[::-1] - 1.0) <= tol))
 
 
+def _layout(input_dim: int, trunk_widths: Sequence[int], m: int):
+    """Trunk widths as Python ints (the checkpoint stores them as JSON), and
+    (start, stop, shape) of every parameter array in the flat vector.
+
+    The order is the checkpoint's: each trunk layer's weights then its
+    biases, then the head weights and the head biases. This is the only
+    place that knows it.
+    """
+    if input_dim < 1:
+        raise ArchitectureError("input_dim must be positive")
+    widths = [operator.index(w) for w in trunk_widths]
+    if not widths:
+        raise ArchitectureError("trunk must have at least one layer")
+    if any(w < 1 for w in widths):
+        raise ArchitectureError("trunk widths must be positive")
+    shapes = [shape for fan_in, width in zip([input_dim] + widths, widths)
+              for shape in ((width, fan_in), (width,))]
+    shapes += [(m, widths[-1]), (m,)]
+    stops = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    return widths, tuple(zip([0] + stops, stops, shapes))
+
+
+def _views(flat: np.ndarray, layout: tuple):
+    """(trunk_w, trunk_b, head_w, head_b) as views into ``flat``."""
+    arrays = [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+    return arrays[0:-2:2], arrays[1:-2:2], arrays[-2], arrays[-1]
+
+
 @dataclasses.dataclass
 class QuantileNet:
     """Trunk weights/biases plus a bank of scalar linear heads, one per level.
 
-    ``trunk_w[i]`` has shape (width_i, fan_in_i); ``head_w`` stacks the head
-    weight vectors as rows, shape (m, trunk_out).
+    Every parameter lives in the one float64 vector ``params``, used as
+    given when it is contiguous float64; ``trunk_w``, ``trunk_b``, ``head_w``
+    and ``head_b`` are views into it. ``trunk_w[i]`` has shape
+    (width_i, fan_in_i); ``head_w`` stacks the head weights, (m, trunk_out).
     """
 
     input_dim: int
-    trunk_w: list
-    trunk_b: list
-    head_w: np.ndarray
-    head_b: np.ndarray
+    trunk_widths: list
     grid: TauGrid
+    params: np.ndarray
+    trunk_w: list = dataclasses.field(init=False, repr=False)
+    trunk_b: list = dataclasses.field(init=False, repr=False)
+    head_w: np.ndarray = dataclasses.field(init=False, repr=False)
+    head_b: np.ndarray = dataclasses.field(init=False, repr=False)
 
-    @property
-    def trunk_widths(self) -> list:
-        return [w.shape[0] for w in self.trunk_w]
+    def __post_init__(self):
+        self.trunk_widths, self._layout = _layout(
+            self.input_dim, self.trunk_widths, len(self.grid))
+        self.params = np.ascontiguousarray(self.params, dtype=float)
+        if self.params.shape != (self._layout[-1][1],):
+            raise ShapeError("flat parameter vector has wrong length")
+        self.trunk_w, self.trunk_b, self.head_w, self.head_b = _views(
+            self.params, self._layout)
 
     @property
     def n_heads(self) -> int:
         return self.head_w.shape[0]
 
     def copy(self) -> "QuantileNet":
-        return QuantileNet(
-            input_dim=self.input_dim,
-            trunk_w=[w.copy() for w in self.trunk_w],
-            trunk_b=[b.copy() for b in self.trunk_b],
-            head_w=self.head_w.copy(),
-            head_b=self.head_b.copy(),
-            grid=self.grid,
-        )
-
-
-def _check_architecture(input_dim: int, trunk_widths: Sequence[int]) -> list:
-    if input_dim < 1:
-        raise ArchitectureError("input_dim must be positive")
-    widths = list(trunk_widths)
-    if not widths:
-        raise ArchitectureError("trunk must have at least one layer")
-    if any(w < 1 for w in widths):
-        raise ArchitectureError("trunk widths must be positive")
-    return widths
+        return dataclasses.replace(self, params=self.params.copy())
 
 
 def init_net(input_dim: int, trunk_widths: Sequence[int], grid: TauGrid,
@@ -127,20 +150,14 @@ def init_net(input_dim: int, trunk_widths: Sequence[int], grid: TauGrid,
 
     Biases start at zero. Deterministic for a fixed seed.
     """
-    widths = _check_architecture(input_dim, trunk_widths)
+    widths, layout = _layout(input_dim, trunk_widths, len(grid))
+    net = QuantileNet(input_dim, widths, grid, np.zeros(layout[-1][1]))
     rng = np.random.default_rng(seed)
-    trunk_w, trunk_b = [], []
-    fan_in = input_dim
-    for width in widths:
-        scale = np.sqrt(2.0 / fan_in)
-        trunk_w.append(rng.normal(0.0, scale, size=(width, fan_in)))
-        trunk_b.append(np.zeros(width))
-        fan_in = width
-    m = len(grid)
-    head_scale = np.sqrt(1.0 / fan_in)
-    head_w = rng.normal(0.0, head_scale, size=(m, fan_in))
-    head_b = np.zeros(m)
-    return QuantileNet(input_dim, trunk_w, trunk_b, head_w, head_b, grid)
+    for w in net.trunk_w:
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)
+    net.head_w[...] = rng.normal(0.0, np.sqrt(1.0 / widths[-1]),
+                                 size=net.head_w.shape)
+    return net
 
 
 def forward(net: QuantileNet, x: np.ndarray) -> np.ndarray:
@@ -201,21 +218,25 @@ def backprop_from_outputs(net: QuantileNet, acts, pres,
     the caller baked into dz (mean over the batch happens upstream).
     ReLU uses the right-derivative at its kink (pre >= 0 passes gradient).
     """
-    gw = [None] * len(net.trunk_w)
-    gb = [None] * len(net.trunk_b)
-    ghw = dz.T @ acts[-1]
-    ghb = dz.sum(axis=0)
+    flat = np.empty(net.params.size)
+    grad = Gradients(flat, *_views(flat, net._layout))
+    np.matmul(dz.T, acts[-1], out=grad.head_w)
+    np.sum(dz, axis=0, out=grad.head_b)
     da = dz @ net.head_w
     for i in range(len(net.trunk_w) - 1, -1, -1):
         dpre = da * (pres[i] >= 0.0)
-        gw[i] = dpre.T @ acts[i]
-        gb[i] = dpre.sum(axis=0)
+        np.matmul(dpre.T, acts[i], out=grad.trunk_w[i])
+        np.sum(dpre, axis=0, out=grad.trunk_b[i])
         da = dpre @ net.trunk_w[i]
-    return Gradients(gw, gb, ghw, ghb)
+    return grad
 
 
 @dataclasses.dataclass
 class Gradients:
+    """Gradient w.r.t. every parameter in one vector ``flat``, laid out as
+    ``QuantileNet.params``; the per-array fields are views into it."""
+
+    flat: np.ndarray
     trunk_w: list
     trunk_b: list
     head_w: np.ndarray
@@ -224,71 +245,26 @@ class Gradients:
 
 def apply_step(net: QuantileNet, grad: Gradients, eta: float) -> None:
     """In-place SGD step w <- w - eta * grad."""
-    for w, g in zip(net.trunk_w, grad.trunk_w):
-        w -= eta * g
-    for b, g in zip(net.trunk_b, grad.trunk_b):
-        b -= eta * g
-    net.head_w -= eta * grad.head_w
-    net.head_b -= eta * grad.head_b
+    net.params -= eta * grad.flat
 
 
 def param_count(net: QuantileNet) -> int:
-    total = sum(w.size + b.size for w, b in zip(net.trunk_w, net.trunk_b))
-    return int(total + net.head_w.size + net.head_b.size)
+    return net.params.size
 
 
 def flatten_params(net: QuantileNet) -> np.ndarray:
-    parts = []
-    for w, b in zip(net.trunk_w, net.trunk_b):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    parts.append(net.head_w.ravel())
-    parts.append(net.head_b.ravel())
-    return np.concatenate(parts)
+    """A copy of the parameter vector."""
+    return net.params.copy()
 
 
 def unflatten_params(net: QuantileNet, flat: np.ndarray) -> QuantileNet:
-    return _net_from_flat(net.input_dim, net.trunk_widths, net.grid, flat)
-
-
-def _net_from_flat(input_dim: int, trunk_widths: Sequence[int],
-                   grid: TauGrid, flat: np.ndarray) -> QuantileNet:
-    """A network whose arrays are views into ``flat``, laid out as
-    flatten_params writes them."""
-    widths = _check_architecture(input_dim, trunk_widths)
-    flat = np.asarray(flat, dtype=float)
-    fan_ins = [input_dim] + widths
-    m = len(grid)
-    n_params = sum(w * (f + 1) for f, w in zip(fan_ins, widths)) \
-        + m * (widths[-1] + 1)
-    if flat.shape != (n_params,):
-        raise ShapeError("flat parameter vector has wrong length")
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        size = int(np.prod(shape))
-        block = flat[pos:pos + size].reshape(shape)
-        pos += size
-        return block
-
-    trunk_w, trunk_b = [], []
-    for fan_in, width in zip(fan_ins, widths):
-        trunk_w.append(take((width, fan_in)))
-        trunk_b.append(take((width,)))
-    head_w = take((m, widths[-1]))
-    head_b = take((m,))
-    return QuantileNet(input_dim, trunk_w, trunk_b, head_w, head_b, grid)
+    """A network shaped like ``net`` whose parameters are ``flat`` itself
+    (not a copy) when it is a contiguous float64 vector."""
+    return dataclasses.replace(net, params=flat)
 
 
 def flatten_grad(grad: Gradients) -> np.ndarray:
-    parts = []
-    for w, b in zip(grad.trunk_w, grad.trunk_b):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    parts.append(grad.head_w.ravel())
-    parts.append(grad.head_b.ravel())
-    return np.concatenate(parts)
+    return grad.flat
 
 
 def save_checkpoint(net: QuantileNet, path) -> None:
@@ -302,7 +278,7 @@ def save_checkpoint(net: QuantileNet, path) -> None:
         path,
         meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         grid=net.grid.array,
-        params=flatten_params(net),
+        params=net.params,
     )
 
 
@@ -312,5 +288,5 @@ def load_checkpoint(path) -> QuantileNet:
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version: {meta.get('version')!r}")
         grid = TauGrid(tuple(ckpt["grid"]))
-        return _net_from_flat(meta["input_dim"], meta["trunk_widths"], grid,
-                              ckpt["params"])
+        return QuantileNet(meta["input_dim"], meta["trunk_widths"], grid,
+                           ckpt["params"])

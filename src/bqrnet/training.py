@@ -52,6 +52,8 @@ class TrainConfig:
             raise ValueError("fixed learning rate must be positive")
         if self.kz_floor <= 0:
             raise ValueError("kz floor must be positive")
+        if self.eta_cap <= 0:
+            raise ValueError("eta cap must be positive")
 
 
 @dataclasses.dataclass

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bqrnet import cli
 from bqrnet.cli import EXIT_RUNTIME, EXIT_VALIDATION, main
 
 
@@ -180,6 +181,16 @@ class TestNoiseSweep:
                   "--fractions", "0.7", "--out", tmp_path])
         assert rc == EXIT_VALIDATION
 
+    def test_csv_dataset(self, tmp_path):
+        data = Path(__file__).resolve().parent.parent / "data" / "smoke_blobs.csv"
+        out = tmp_path / "sweep"
+        rc = run(["noise-sweep", "--data", data, "--label-column", "label",
+                  "--trunk", "4", "--epochs", "3", "--batch-size", "64",
+                  "--fractions", "0,0.2", "--out", out])
+        assert rc == 0
+        assert (out / "noise_sweep.csv").read_text().splitlines()[0] \
+            == "dataset,loss,0%,20%"
+
 
 class TestLalrBench:
     def test_three_arms(self, tmp_path):
@@ -262,6 +273,48 @@ class TestSmooth:
                         "--out", out]) == 0
             outs.append((out / "smooth.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestFlags:
+    # (command, flag) pairs that were parsed and then ignored
+    UNUSED = [(cmd, flag) for cmd in ("evaluate", "smooth")
+              for flag in ("--trunk", "--grid", "--lam", "--epochs",
+                           "--batch-size")] \
+        + [("noise-sweep", "--loss"), ("lalr-bench", "--lr")]
+
+    @pytest.mark.parametrize("command,flag", UNUSED)
+    def test_unused_flag_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, flag, "8"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_train_config_unchanged(self, tmp_path):
+        # every flag train takes, over a config file; the expected dict and
+        # hash are what the per-command key lists of the old merge produced
+        config = tmp_path / "cfg.yaml"
+        config.write_text("epochs: 99\nbandwidth: 0.2\nout: elsewhere\n")
+        args = cli.build_parser().parse_args([
+            "train", "--config", str(config), "--id", "D1", "--n", "700",
+            "--seed", "3", "--threshold", "p60", "--data", "d.csv",
+            "--label-column", "label", "--latent-column", "latent",
+            "--trunk", "16,8", "--grid", "0.25,0.5,0.75", "--lam", "0.5",
+            "--loss", "bqr", "--lr", "0.05", "--epochs", "7",
+            "--batch-size", "32", "--out", "run"])
+        cfg = cli._resolve(args)
+        assert cfg == {
+            "epochs": 7, "bandwidth": 0.2, "out": "run", "dataset_id": "D1",
+            "n": 700, "seed": 3, "threshold": "p60", "data": "d.csv",
+            "label_column": "label", "latent_column": "latent",
+            "trunk": "16,8", "grid": "0.25,0.5,0.75", "lam": 0.5,
+            "loss": "bqr", "lr": "0.05", "batch_size": 32}
+        assert cli._config_hash(cfg) == "b7c2a2c4d79cda78"
+
+    @pytest.mark.parametrize("value,expected", [
+        (None, [1.0]), ("0.25,0.5", [0.25, 0.5]), ([1, 2], [1.0, 2.0]),
+        (0.5, [0.5])])
+    def test_list_option(self, value, expected):
+        assert cli._list({"k": value}, "k", float, [1.0]) == expected
 
 
 def test_cli_import_loads_no_scipy():

@@ -201,6 +201,152 @@ class TestBackprop:
         assert np.allclose(after, before - 0.1 * flatten_grad(grads))
 
 
+def old_flatten(arrays):
+    """The concatenation flatten_params and flatten_grad used to build."""
+    trunk_w, trunk_b, head_w, head_b = arrays
+    parts = []
+    for w, b in zip(trunk_w, trunk_b):
+        parts += [w.ravel(), b.ravel()]
+    return np.concatenate(parts + [head_w.ravel(), head_b.ravel()])
+
+
+def old_init_net(input_dim, trunk_widths, grid, seed):
+    """init_net as it was before the flat parameter vector: separate arrays."""
+    rng = np.random.default_rng(seed)
+    trunk_w, trunk_b = [], []
+    fan_in = input_dim
+    for width in trunk_widths:
+        trunk_w.append(rng.normal(0.0, np.sqrt(2.0 / fan_in),
+                                  size=(width, fan_in)))
+        trunk_b.append(np.zeros(width))
+        fan_in = width
+    head_w = rng.normal(0.0, np.sqrt(1.0 / fan_in), size=(len(grid), fan_in))
+    return trunk_w, trunk_b, head_w, np.zeros(len(grid))
+
+
+def old_backprop(net, acts, pres, dz):
+    """backprop_from_outputs as it was: a fresh array per block."""
+    gw, gb = [None] * len(net.trunk_w), [None] * len(net.trunk_b)
+    ghw, ghb = dz.T @ acts[-1], dz.sum(axis=0)
+    da = dz @ net.head_w
+    for i in range(len(net.trunk_w) - 1, -1, -1):
+        dpre = da * (pres[i] >= 0.0)
+        gw[i] = dpre.T @ acts[i]
+        gb[i] = dpre.sum(axis=0)
+        da = dpre @ net.trunk_w[i]
+    return gw, gb, ghw, ghb
+
+
+ARCHITECTURES = [(1, [64, 64], TauGrid.default()),
+                 (3, [6, 5], TauGrid.default()),
+                 (2, [1], TauGrid((0.3, 0.5, 0.7)))]
+
+
+def arrays_of(obj):
+    return obj.trunk_w, obj.trunk_b, obj.head_w, obj.head_b
+
+
+def all_arrays(arrays):
+    trunk_w, trunk_b, head_w, head_b = arrays
+    return trunk_w + trunk_b + [head_w, head_b]
+
+
+def perturbed_net(input_dim, trunk, grid, seed):
+    """A net with nonzero biases, so every block of the layout differs."""
+    net = init_net(input_dim, trunk, grid, seed=seed)
+    net.params += np.random.default_rng(seed).normal(size=net.params.size)
+    return net
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("input_dim,trunk,grid", ARCHITECTURES)
+    def test_views_share_the_vector(self, input_dim, trunk, grid):
+        net = perturbed_net(input_dim, trunk, grid, seed=1)
+        x = np.random.default_rng(2).normal(size=(7, input_dim))
+        z, acts, pres = forward_cached(net, x)
+        grad = backprop_from_outputs(net, acts, pres, np.ones_like(z))
+        for owner, flat in ((net, net.params), (grad, grad.flat)):
+            for arr in all_arrays(arrays_of(owner)):
+                assert np.shares_memory(arr, flat)
+            assert flat.flags.c_contiguous and flat.dtype == np.float64
+
+    @pytest.mark.parametrize("input_dim,trunk,grid", ARCHITECTURES)
+    def test_params_in_checkpoint_order(self, input_dim, trunk, grid):
+        net = perturbed_net(input_dim, trunk, grid, seed=3)
+        assert np.array_equal(net.params, old_flatten(arrays_of(net)))
+        assert np.array_equal(flatten_params(net), net.params)
+        assert param_count(net) == net.params.size
+
+    @pytest.mark.parametrize("input_dim,trunk,grid", ARCHITECTURES)
+    def test_init_bit_identical(self, input_dim, trunk, grid):
+        net = init_net(input_dim, trunk, grid, seed=17)
+        old = old_init_net(input_dim, trunk, grid, seed=17)
+        for a, b in zip(all_arrays(arrays_of(net)), all_arrays(old)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert np.array_equal(net.params, old_flatten(old))
+
+    @pytest.mark.parametrize("input_dim,trunk,grid", ARCHITECTURES)
+    def test_backprop_bit_identical(self, input_dim, trunk, grid):
+        net = perturbed_net(input_dim, trunk, grid, seed=5)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(128, input_dim))
+        z, acts, pres = forward_cached(net, x)
+        dz = rng.normal(size=z.shape)
+        grad = backprop_from_outputs(net, acts, pres, dz)
+        old = old_backprop(net, acts, pres, dz)
+        assert np.array_equal(grad.flat, old_flatten(old))
+        assert flatten_grad(grad) is grad.flat
+
+    @pytest.mark.parametrize("input_dim,trunk,grid", ARCHITECTURES)
+    def test_apply_step_is_one_axpy(self, input_dim, trunk, grid):
+        net = perturbed_net(input_dim, trunk, grid, seed=7)
+        x = np.random.default_rng(8).normal(size=(9, input_dim))
+        z, acts, pres = forward_cached(net, x)
+        grad = backprop_from_outputs(net, acts, pres, z)
+        expected = net.params - 0.3 * grad.flat
+        params = net.params
+        apply_step(net, grad, 0.3)
+        assert net.params is params
+        assert np.array_equal(net.params, expected)
+        assert np.array_equal(old_flatten(arrays_of(net)), expected)
+
+    def test_flatten_params_is_a_copy(self):
+        net = perturbed_net(2, [4, 3], TauGrid.default(), seed=9)
+        before = net.params.copy()
+        flat = flatten_params(net)
+        flat[:] = 0.0
+        assert np.array_equal(net.params, before)
+
+    def test_unflatten_writes_through(self):
+        net = init_net(2, [4, 3], TauGrid.default(), seed=10)
+        v = np.zeros(param_count(net))
+        other = unflatten_params(net, v)
+        other.trunk_w[1][:] = 1.5
+        other.head_b[:] = -2.0
+        assert np.array_equal(v, old_flatten(arrays_of(other)))
+        assert v[-1] == -2.0 and np.count_nonzero(v == 1.5) == 12
+
+    def test_copy_owns_its_vector(self):
+        net = perturbed_net(2, [4, 3], TauGrid.default(), seed=11)
+        twin = net.copy()
+        assert not np.shares_memory(twin.params, net.params)
+        assert np.array_equal(twin.params, net.params)
+        twin.head_w[:] = 0.0
+        assert np.any(net.head_w != 0.0)
+
+    def test_constructor_checks_length_and_architecture(self):
+        with pytest.raises(ShapeError):
+            QuantileNet(1, [2], TauGrid((0.5,)), np.zeros(6))
+        with pytest.raises(ArchitectureError):
+            QuantileNet(1, [], TauGrid((0.5,)), np.zeros(7))
+        net = QuantileNet(1, [2], TauGrid((0.5,)), np.arange(7.0))
+        assert net.trunk_widths == [2]
+        assert net.trunk_w[0].tolist() == [[0.0], [1.0]]
+        assert net.trunk_b[0].tolist() == [2.0, 3.0]
+        assert net.head_w.tolist() == [[4.0, 5.0]]
+        assert net.head_b.tolist() == [6.0]
+
+
 class TestParamCount:
     def test_small_examples(self):
         assert param_count(init_net(1, [2], TauGrid((0.5,)), seed=0)) == 7

@@ -127,6 +127,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, batch_size=8, eta=0.0)
 
+    @pytest.mark.parametrize("cap", [0.0, -1.0])
+    def test_eta_cap_must_be_positive(self, cap):
+        # a cap of 0 froze LALR training; a negative cap climbed the loss
+        with pytest.raises(ValueError, match="eta cap"):
+            TrainConfig(epochs=5, batch_size=8, lr_mode="lalr", eta_cap=cap)
+
 
 class TestTrain:
     def test_zero_epochs_identity(self):
