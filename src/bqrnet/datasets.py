@@ -159,8 +159,8 @@ def train_test_split(ds: LabeledDataset, test_fraction: float = 0.3,
 
 
 def load_csv(path, label_column: str, scale: bool = True,
-             threshold: Optional[float] = None, latent_column: Optional[str] = None,
-             delimiter: str = ",") -> LabeledDataset:
+             threshold: Optional[float] = None,
+             latent_column: Optional[str] = None) -> LabeledDataset:
     """Read a headered CSV into a dataset.
 
     The label column must be binary unless ``threshold`` is given, in which
@@ -172,12 +172,11 @@ def load_csv(path, label_column: str, scale: bool = True,
     """
     with open(path, newline="") as fh:
         return _parse_csv(fh, label_column, scale, threshold, latent_column,
-                          delimiter, name=str(path))
+                          name=str(path))
 
 
-def _parse_csv(fh, label_column, scale, threshold, latent_column, delimiter,
-               name=""):
-    reader = csv.reader(fh, delimiter=delimiter)
+def _parse_csv(fh, label_column, scale, threshold, latent_column, name=""):
+    reader = csv.reader(fh)
     try:
         header = next(reader)
     except StopIteration:
@@ -245,17 +244,14 @@ def scale_features(features, lo, hi):
     return np.where(span == 0.0, 0.0, scaled)
 
 
-def write_csv(ds: LabeledDataset, path, grid: Optional[TauGrid] = None,
-              quantile_preds: Optional[np.ndarray] = None) -> None:
-    """Export a dataset (and optional per-level quantile columns) to CSV."""
+def write_csv(ds: LabeledDataset, path) -> None:
+    """Export a dataset to CSV."""
     cols = ds.column_names or [f"x{i}" for i in range(ds.dim)]
     header = list(cols)
     if ds.latent is not None:
         header.append("latent")
     if ds.labels is not None:
         header.append("label")
-    if quantile_preds is not None:
-        header.extend(f"q_{t:.2f}" for t in grid.levels)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -265,8 +261,6 @@ def write_csv(ds: LabeledDataset, path, grid: Optional[TauGrid] = None,
                 row.append(repr(float(ds.latent[i])))
             if ds.labels is not None:
                 row.append(str(int(ds.labels[i])))
-            if quantile_preds is not None:
-                row.extend(repr(float(v)) for v in quantile_preds[i])
             writer.writerow(row)
 
 
@@ -300,9 +294,9 @@ def normalize_for_coverage(ds: LabeledDataset, preds: np.ndarray,
     return latent_norm, preds_norm
 
 
-def dataset_from_csv_text(text: str, label_column: str, **kwargs) -> LabeledDataset:
+def dataset_from_csv_text(text: str, label_column: str, scale: bool = True,
+                          threshold: Optional[float] = None,
+                          latent_column: Optional[str] = None) -> LabeledDataset:
     """Parse CSV content already in memory (mainly for tests)."""
-    return _parse_csv(io.StringIO(text), label_column,
-                      kwargs.pop("scale", True), kwargs.pop("threshold", None),
-                      kwargs.pop("latent_column", None),
-                      kwargs.pop("delimiter", ","))
+    return _parse_csv(io.StringIO(text), label_column, scale, threshold,
+                      latent_column)

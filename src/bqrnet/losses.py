@@ -55,6 +55,13 @@ def _bqr_terms(y, z, tau):
     ce k / (1 - ce); on the far side it is -(log c + a) with gradient -k.
     Both are exact for every finite z. ``y`` holds 0/1 labels; tau is not
     validated here.
+
+    In closed form (z = 0 takes the z <= 0 branch) the gradient is
+      y=1, z>0:  -tau(1-tau) e^{(tau-1)z} / (1 - tau e^{(tau-1)z})
+      y=0, z>0:  1 - tau
+      y=1, z<=0: -tau
+      y=0, z<=0: tau(1-tau) e^{tau z} / (1 - (1-tau) e^{tau z})
+    and its magnitude never exceeds max(tau, 1-tau).
     """
     pos = z > 0
     k = np.where(pos, tau - 1.0, tau)
@@ -93,22 +100,6 @@ def bqr_loss(y, z, tau):
     loss, _ = _bqr_terms(np.asarray(y, dtype=float),
                          np.asarray(z, dtype=float), tau)
     return _scalar_or_array(loss)
-
-
-def bqr_grad_z(y, z, tau):
-    """Analytic d(loss)/dz on each branch; z = 0 uses the z <= 0 branch.
-
-    Closed forms:
-      y=1, z>0:  -tau(1-tau) e^{(tau-1)z} / (1 - tau e^{(tau-1)z})
-      y=0, z>0:  1 - tau
-      y=1, z<=0: -tau
-      y=0, z<=0: tau(1-tau) e^{tau z} / (1 - (1-tau) e^{tau z})
-    The magnitude never exceeds max(tau, 1-tau).
-    """
-    tau = _check_tau(tau)
-    _, grad = _bqr_terms(np.asarray(y, dtype=float),
-                         np.asarray(z, dtype=float), tau)
-    return _scalar_or_array(grad)
 
 
 def _hinge(values):

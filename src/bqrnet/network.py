@@ -1,10 +1,11 @@
 """Feed-forward ReLU network with a shared trunk and one linear head per quantile level.
 
 All math is plain numpy in float64. Every parameter of a network lives in one
-flat vector, and every gradient in another laid out the same way. Forward and
-backward are pure functions of (net, inputs); the only in-place change to a
-network is ``apply_step``, the SGD step, which ``training`` applies to its own
-copy.
+flat vector, and every gradient in another laid out the same way. The layer
+recursion is written once each way: ``_pass`` forward, ``_trunk_deltas``
+backward. Forward and backward are pure functions of (net, inputs); the only
+in-place change to a network is ``apply_step``, the SGD step, which
+``training`` applies to its own copy.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _views(flat: np.ndarray, layout: tuple):
     return arrays[0:-2:2], arrays[1:-2:2], arrays[-2], arrays[-1]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class QuantileNet:
     """Trunk weights/biases plus a bank of scalar linear heads, one per level.
 
@@ -160,6 +161,19 @@ def init_net(input_dim: int, trunk_widths: Sequence[int], grid: TauGrid,
     return net
 
 
+def _pass(net: QuantileNet, x: np.ndarray, pres, acts, z: np.ndarray) -> None:
+    """Run rows through trunk layer i into ``pres[i]`` (pre-activations) and
+    ``acts[i]`` (ReLU outputs, in place when the same array), then through
+    the heads into ``z``."""
+    a = x
+    for w, b, pre, act in zip(net.trunk_w, net.trunk_b, pres, acts):
+        np.matmul(a, w.T, out=pre)
+        pre += b
+        a = np.maximum(pre, 0.0, out=act)
+    np.matmul(a, net.head_w.T, out=z)
+    z += net.head_b
+
+
 def forward(net: QuantileNet, x: np.ndarray) -> np.ndarray:
     """Evaluate the latent quantile vector(s) for one sample or a batch.
 
@@ -179,35 +193,39 @@ def forward(net: QuantileNet, x: np.ndarray) -> np.ndarray:
         raise ValueError("inputs must be finite")
     n = x.shape[0]
     z = np.empty((n, net.n_heads))
-    # one activation buffer per layer, reused by every block
-    bufs = [np.empty((min(n, FORWARD_BLOCK_ROWS), w.shape[0]))
-            for w in net.trunk_w]
+    # one buffer per layer, reused by every block as both pres and acts
+    bufs = [np.empty((min(n, FORWARD_BLOCK_ROWS), w)) for w in net.trunk_widths]
     for start in range(0, n, FORWARD_BLOCK_ROWS):
-        stop = start + FORWARD_BLOCK_ROWS
-        a = x[start:stop]
-        for w, b, buf in zip(net.trunk_w, net.trunk_b, bufs):
-            out = buf[:a.shape[0]]
-            np.matmul(a, w.T, out=out)
-            out += b
-            np.maximum(out, 0.0, out=out)
-            a = out
-        np.matmul(a, net.head_w.T, out=z[start:stop])
-    z += net.head_b
+        block = x[start:start + FORWARD_BLOCK_ROWS]
+        live = [buf[:block.shape[0]] for buf in bufs]
+        _pass(net, block, live, live, z[start:start + FORWARD_BLOCK_ROWS])
     return z[0] if single else z
 
 
 def forward_cached(net: QuantileNet, x: np.ndarray):
-    """Forward pass returning (outputs, activations, pre-activations)."""
-    a = np.asarray(x, dtype=float)
-    acts = [a]
-    pres = []
-    for w, b in zip(net.trunk_w, net.trunk_b):
-        pre = a @ w.T + b
-        a = np.maximum(pre, 0.0)
-        pres.append(pre)
-        acts.append(a)
-    z = a @ net.head_w.T + net.head_b
-    return z, acts, pres
+    """Forward pass returning (outputs, activations, pre-activations), each
+    in a fresh array; ``acts[0]`` is the input itself."""
+    x = np.asarray(x, dtype=float)
+    pres = [np.empty((len(x), w)) for w in net.trunk_widths]
+    acts = [np.empty((len(x), w)) for w in net.trunk_widths]
+    z = np.empty((len(x), net.n_heads))
+    _pass(net, x, pres, acts, z)
+    return z, [x] + acts, pres
+
+
+def _trunk_deltas(net: QuantileNet, pres, d: np.ndarray):
+    """Yield (i, gradient w.r.t. ``pres[i]``) for each trunk layer, top down,
+    from ``d``, the gradient w.r.t. the top activations, broadcast to
+    (..., n, width); leading axes stack independent gradients into one 2-d
+    matmul per layer. ReLU passes gradient where pre >= 0 (its
+    right-derivative at the kink); the input gradient is never formed."""
+    d = d * (pres[-1] >= 0.0)
+    for i in range(len(pres) - 1, -1, -1):
+        yield i, d
+        if i:
+            w = net.trunk_w[i]
+            d = (d.reshape(-1, w.shape[0]) @ w).reshape(d.shape[:-1] + (-1,))
+            d *= pres[i - 1] >= 0.0
 
 
 def backprop_from_outputs(net: QuantileNet, acts, pres,
@@ -216,22 +234,18 @@ def backprop_from_outputs(net: QuantileNet, acts, pres,
 
     ``dz`` has shape (n, m); the result already carries whatever reduction
     the caller baked into dz (mean over the batch happens upstream).
-    ReLU uses the right-derivative at its kink (pre >= 0 passes gradient).
     """
     flat = np.empty(net.params.size)
     grad = Gradients(flat, *_views(flat, net._layout))
     np.matmul(dz.T, acts[-1], out=grad.head_w)
     np.sum(dz, axis=0, out=grad.head_b)
-    da = dz @ net.head_w
-    for i in range(len(net.trunk_w) - 1, -1, -1):
-        dpre = da * (pres[i] >= 0.0)
+    for i, dpre in _trunk_deltas(net, pres, dz @ net.head_w):
         np.matmul(dpre.T, acts[i], out=grad.trunk_w[i])
         np.sum(dpre, axis=0, out=grad.trunk_b[i])
-        da = dpre @ net.trunk_w[i]
     return grad
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class Gradients:
     """Gradient w.r.t. every parameter in one vector ``flat``, laid out as
     ``QuantileNet.params``; the per-array fields are views into it."""

@@ -12,8 +12,8 @@ from typing import Optional
 import numpy as np
 
 from . import losses
-from .network import (QuantileNet, ShapeError, apply_step, forward,
-                      forward_cached)
+from .network import (QuantileNet, ShapeError, _trunk_deltas, apply_step,
+                      forward, forward_cached)
 
 FIXED = "fixed"
 LALR = "lalr"
@@ -39,7 +39,6 @@ class TrainConfig:
     seed: int = 0
     kz_floor: float = DEFAULT_KZ_FLOOR
     eta_cap: float = DEFAULT_ETA_CAP
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -68,9 +67,6 @@ class EpochRecord:
 @dataclasses.dataclass
 class TrainTrace:
     records: list
-
-    def accuracies(self):
-        return [r.accuracy for r in self.records]
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -108,15 +104,10 @@ def estimate_kz(net: QuantileNet, x: np.ndarray,
     # per-row max(|a|, 1) of each layer's input; the last entry also bounds
     # every head's own gradient (trunk output activations and 1 for the bias)
     a_scale = [np.maximum(np.abs(a).max(axis=1), 1.0) for a in acts]
-    masks = [pre >= 0.0 for pre in pres]
     best = float(a_scale[-1].max())
-    for j in range(net.n_heads):
-        delta = np.broadcast_to(net.head_w[j], acts[-1].shape)
-        for i in range(len(net.trunk_w) - 1, -1, -1):
-            dpre = delta * masks[i]
-            layer_best = np.abs(dpre).max(axis=1) * a_scale[i]
-            best = max(best, float(layer_best.max()))
-            delta = dpre @ net.trunk_w[i]
+    # every head's top-layer delta at once: (m, 1, width) against (n, width)
+    for i, dpre in _trunk_deltas(net, pres, net.head_w[:, None, :]):
+        best = max(best, float((np.abs(dpre).max(axis=2) * a_scale[i]).max()))
     return max(best, kz_floor)
 
 
@@ -126,13 +117,6 @@ def lalr_eta(kz: float, lip: float,
     if kz <= 0 or lip <= 0:
         raise losses.DomainError("kz and Lipschitz constant must be positive")
     return min(1.0 / (kz * lip), eta_cap)
-
-
-def _predict_labels(net, x, spec):
-    z = forward(net, x)
-    if spec.kind == losses.BCE:
-        return (z[:, 0] > 0).astype(int)
-    return (z[:, net.grid.median_index] > 0).astype(int)
 
 
 def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
@@ -160,7 +144,7 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
     lip = losses.lipschitz_const(spec)
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         first = order[:cfg.batch_size]
         if cfg.lr_mode == LALR:
             kz = estimate_kz(net, x[first], cfg.kz_floor)
@@ -189,7 +173,9 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
 
 
 def _accuracy_on(net, spec, x, y):
-    pred = _predict_labels(net, x, spec)
+    """Accuracy of the sign of the median head (the only BCE head)."""
+    col = 0 if spec.kind == losses.BCE else net.grid.median_index
+    pred = (forward(net, x)[:, col] > 0).astype(int)
     return float(np.mean(pred == np.asarray(y, dtype=int)))
 
 

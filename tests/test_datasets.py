@@ -188,15 +188,6 @@ class TestCsv:
         assert np.array_equal(back.labels, ds.labels)
         assert np.allclose(back.latent, ds.latent)
 
-    def test_round_trip_with_quantile_columns(self, tmp_path):
-        ds = threshold_labels(gen_dataset("D1", 10, seed=8), 0.0)
-        grid = TauGrid.default()
-        preds = np.cumsum(np.ones((10, 9)), axis=1)
-        path = tmp_path / "d1.csv"
-        write_csv(ds, path, grid=grid, quantile_preds=preds)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[-1] == "q_0.90" and header[-9] == "q_0.10"
-
     def test_scale_features_constant_column(self):
         out = scale_features(np.array([[2.0], [2.0]]),
                              np.array([2.0]), np.array([2.0]))

@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bqrnet.losses import (BCE, BQR, DomainError, LossSpec, _loss_and_grad,
-                           backward, bqr_grad_z, bqr_loss, crossing_penalty,
-                           curvature_bounds, lipschitz_const, prob_pos,
-                           total_grad, total_loss)
+from bqrnet.losses import (BCE, BQR, DomainError, LossSpec, _bqr_terms,
+                           _loss_and_grad, backward, bqr_loss,
+                           crossing_penalty, curvature_bounds, lipschitz_const,
+                           prob_pos, total_grad, total_loss)
 from bqrnet.network import (TauGrid, flatten_grad, flatten_params, forward,
                             init_net, unflatten_params)
+
+
+def grad_z(y, z, tau):
+    """d(loss)/dz of the per-level kernel term."""
+    _, grad = _bqr_terms(np.asarray(y, dtype=float),
+                         np.asarray(z, dtype=float), np.asarray(tau))
+    return grad
 
 
 def ald_density(u, tau):
@@ -82,7 +89,7 @@ class TestBqrLoss:
         # clamp, which read 27.63; the loss keeps its slope 1 - tau = 0.9
         assert bqr_loss(0, 30.0, 0.1) == pytest.approx(
             -(np.log(0.1) - 0.9 * 30.0), rel=1e-15)
-        assert bqr_grad_z(0, 30.0, 0.1) == pytest.approx(0.9, abs=1e-15)
+        assert grad_z(0, 30.0, 0.1) == pytest.approx(0.9, abs=1e-15)
         eps = 1e-3
         fd = (bqr_loss(0, 30.0 + eps, 0.1)
               - bqr_loss(0, 30.0 - eps, 0.1)) / (2 * eps)
@@ -92,8 +99,8 @@ class TestBqrLoss:
 class TestBqrGrad:
     def test_constant_branch(self):
         # y=0, z>0 branch is exactly 1 - tau; y=1, z<=0 branch is -tau
-        assert bqr_grad_z(0, 1.0, 0.3) == pytest.approx(0.7, abs=1e-12)
-        assert bqr_grad_z(1, -1.0, 0.3) == pytest.approx(-0.3, abs=1e-12)
+        assert grad_z(0, 1.0, 0.3) == pytest.approx(0.7, abs=1e-12)
+        assert grad_z(1, -1.0, 0.3) == pytest.approx(-0.3, abs=1e-12)
 
     def test_matches_finite_difference(self):
         eps = 1e-6
@@ -105,21 +112,21 @@ class TestBqrGrad:
             if abs(z) < 10 * eps:
                 continue  # derivative kink at z = 0
             fd = (bqr_loss(y, z + eps, tau) - bqr_loss(y, z - eps, tau)) / (2 * eps)
-            g = bqr_grad_z(y, z, tau)
+            g = grad_z(y, z, tau)
             assert g == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_specific_point_high_accuracy(self):
         eps = 1e-6
         fd = (bqr_loss(1, 0.5 + eps, 0.5)
               - bqr_loss(1, 0.5 - eps, 0.5)) / (2 * eps)
-        assert bqr_grad_z(1, 0.5, 0.5) == pytest.approx(fd, abs=1e-8)
+        assert grad_z(1, 0.5, 0.5) == pytest.approx(fd, abs=1e-8)
 
     def test_bounded_by_max_tau(self):
         rng = np.random.default_rng(2)
         y = rng.integers(0, 2, 5000).astype(float)
         z = rng.uniform(-50, 50, 5000)
         tau = rng.uniform(0.01, 0.99, 5000)
-        g = bqr_grad_z(y, z, tau)
+        g = grad_z(y, z, tau)
         assert np.all(np.abs(g) <= np.maximum(tau, 1 - tau) + 1e-12)
 
 

@@ -121,12 +121,20 @@ class TestForward:
             forward(net, np.array([[np.nan]]))
 
     def test_forward_cached_consistent(self):
+        # forward reuses one buffer per layer for pre-activations and
+        # activations; forward_cached must keep them apart
         net = init_net(2, [4, 3], TauGrid.default(), seed=2)
-        x = np.random.default_rng(1).normal(size=(5, 2))
-        z, acts, pres = forward_cached(net, x)
-        assert np.allclose(z, forward(net, x))
-        assert len(acts) == 3 and len(pres) == 2
-        assert np.allclose(acts[-1], np.maximum(pres[-1], 0.0))
+        for n in (1, 5, 128, 1024):
+            x = np.random.default_rng(n).normal(size=(n, 2))
+            z, acts, pres = forward_cached(net, x)
+            assert np.array_equal(z, forward(net, x))
+            assert len(acts) == 3 and len(pres) == 2 and acts[0] is x
+            for i, pre in enumerate(pres):
+                assert np.array_equal(acts[i + 1], np.maximum(pre, 0.0))
+                for other in pres[:i] + acts[1:]:
+                    assert not np.shares_memory(pre, other)
+                if n > 1:
+                    assert np.any(pre < 0.0)
 
 
 def forward_unblocked(net, x):
@@ -345,6 +353,21 @@ class TestFlatLayout:
         assert net.trunk_b[0].tolist() == [2.0, 3.0]
         assert net.head_w.tolist() == [[4.0, 5.0]]
         assert net.head_b.tolist() == [6.0]
+
+
+class TestIdentity:
+    def test_equality_is_identity_and_nets_hash(self):
+        net = perturbed_net(2, [4, 3], TauGrid.default(), seed=12)
+        twin = net.copy()
+        assert (net == net) is True
+        assert (net == twin) is False
+        assert len({net, twin}) == 2
+        x = np.random.default_rng(13).normal(size=(6, 2))
+        z, acts, pres = forward_cached(net, x)
+        grad = backprop_from_outputs(net, acts, pres, z)
+        again = backprop_from_outputs(net, acts, pres, z)
+        assert (grad == grad) is True
+        assert (grad == again) is False
 
 
 class TestParamCount:

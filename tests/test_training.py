@@ -93,10 +93,19 @@ class TestEstimateKz:
         (1, [64, 64], 0), (1, [64, 64], 1), (3, [16, 8, 4], 2),
         (2, [32], 3)])
     def test_identical_to_per_head_loop(self, input_dim, trunk, seed):
-        net = init_net(input_dim, trunk, TauGrid.default(), seed=seed)
+        self.check_identical(input_dim, trunk, seed, TauGrid.default(), 128)
+
+    @pytest.mark.parametrize("trunk", [[8], [16, 8]])
+    def test_single_head_identical_to_per_head_loop(self, trunk):
+        # the one-level grid AC-6 trains, so the stack of heads has m = 1
+        self.check_identical(2, trunk, 6, TauGrid((0.5,)), 64)
+
+    @staticmethod
+    def check_identical(input_dim, trunk, seed, grid, n):
+        net = init_net(input_dim, trunk, grid, seed=seed)
         rng = np.random.default_rng(seed)
         net.trunk_b[0][:] = rng.normal(size=trunk[0])
-        x = rng.normal(0.0, 2.0, size=(128, input_dim))
+        x = rng.normal(0.0, 2.0, size=(n, input_dim))
         assert estimate_kz(net, x, 1e-12) == estimate_kz_per_head(net, x, 1e-12)
 
 
