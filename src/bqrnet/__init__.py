@@ -18,7 +18,7 @@ from .smoothing import (ConfidenceReport, ConfidenceScores, SmoothedQuantileFn,
 from .training import (TrainConfig, TrainTrace, NotReached, epochs_to_target,
                        estimate_kz, lalr_eta, train)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "LabeledDataset", "NoiseSpec", "flip_labels", "gen_dataset", "load_csv",

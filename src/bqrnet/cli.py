@@ -75,31 +75,21 @@ def _parse_grid(cfg: dict) -> network.TauGrid:
     return network.TauGrid(_list(cfg, "grid", float, network.DEFAULT_GRID))
 
 
-def _resolve_threshold(spec, latent):
-    """A threshold flag is either a number, 'median', or 'p<percentile>'."""
-    if isinstance(spec, (int, float)):
-        return float(spec)
-    text = str(spec).strip().lower()
-    if text == "median":
-        return float(np.median(latent))
-    if text.startswith("p"):
-        return float(np.percentile(latent, float(text[1:])))
-    return float(text)
-
-
-def _load_dataset(cfg: dict) -> datasets.LabeledDataset:
+def _load_dataset(cfg: dict,
+                  default_n: int = 7000) -> datasets.LabeledDataset:
+    """The simulated dataset (labelled at its threshold, 'median' unless
+    given) or the CSV file the config names."""
     if cfg.get("dataset_id"):
-        n = int(cfg.get("n", 7000))
-        seed = int(cfg.get("seed", 0))
-        ds = datasets.gen_dataset(cfg["dataset_id"], n, seed)
-        thr = _resolve_threshold(cfg.get("threshold", "median"), ds.latent)
-        return datasets.threshold_labels(ds, thr)
+        ds = datasets.gen_dataset(cfg["dataset_id"],
+                                  int(cfg.get("n", default_n)),
+                                  int(cfg.get("seed", 0)))
+        return datasets.threshold_labels(ds, datasets.resolve_threshold(
+            cfg.get("threshold", "median"), ds.latent))
     if cfg.get("data"):
-        thr = cfg.get("threshold")
         return datasets.load_csv(
             cfg["data"], label_column=_require(cfg, "label_column"),
             scale=bool(cfg.get("scale", True)),
-            threshold=None if thr is None else float(thr),
+            threshold=cfg.get("threshold"),
             latent_column=cfg.get("latent_column"))
     raise ValidationError("no dataset given: pass --id or --data")
 
@@ -134,13 +124,11 @@ def _outdir(cfg: dict) -> Path:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve(args)
-    ds = datasets.gen_dataset(_require(cfg, "dataset_id"),
-                              int(cfg.get("n", 10000)), int(cfg.get("seed", 0)))
-    thr = _resolve_threshold(cfg.get("threshold", "median"), ds.latent)
-    ds = datasets.threshold_labels(ds, thr)
+    _require(cfg, "dataset_id")
+    ds = _load_dataset(cfg, default_n=10000)
     out = Path(cfg.get("out", f"{ds.name}.csv"))
     datasets.write_csv(ds, out)
-    print(f"wrote {ds.n} rows to {out} (threshold={thr:.6g}, "
+    print(f"wrote {ds.n} rows to {out} (threshold={ds.threshold:.6g}, "
           f"config {_config_hash(cfg)})")
     return 0
 

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
-from typing import Callable, Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -97,13 +96,6 @@ GENERATORS: dict = {
 }
 
 
-def signal_fn(dataset_id: str) -> Callable:
-    if dataset_id not in GENERATORS:
-        raise DatasetError(
-            f"unknown dataset id {dataset_id!r}; valid ids: {sorted(GENERATORS)}")
-    return GENERATORS[dataset_id][0]
-
-
 def gen_dataset(dataset_id: str, n: int, seed: int) -> LabeledDataset:
     """Draw x ~ U(-1, 1) and the latent response for one of the six
     simulated families. Labels are attached separately by thresholding."""
@@ -125,6 +117,19 @@ def threshold_labels(ds: LabeledDataset, mu: float) -> LabeledDataset:
         raise DatasetError("thresholding requires the true latent response")
     labels = (ds.latent > mu).astype(int)
     return dataclasses.replace(ds, labels=labels, threshold=float(mu))
+
+
+def resolve_threshold(spec: Union[float, str], response) -> float:
+    """A binarization threshold given as a number, 'median', or
+    'p<percentile>' of the response (e.g. 'p80')."""
+    if isinstance(spec, (int, float)):
+        return float(spec)
+    text = str(spec).strip().lower()
+    if text == "median":
+        return float(np.median(response))
+    if text.startswith("p"):
+        return float(np.percentile(response, float(text[1:])))
+    return float(text)
 
 
 def flip_labels(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
@@ -159,29 +164,23 @@ def train_test_split(ds: LabeledDataset, test_fraction: float = 0.3,
 
 
 def load_csv(path, label_column: str, scale: bool = True,
-             threshold: Optional[float] = None,
+             threshold: Optional[Union[float, str]] = None,
              latent_column: Optional[str] = None) -> LabeledDataset:
     """Read a headered CSV into a dataset.
 
     The label column must be binary unless ``threshold`` is given, in which
     case it is treated as a real response and thresholded (<= threshold is
-    class 0). Feature columns are affinely scaled per-column into [-1, 1]
-    when ``scale`` is set; the scaling parameters are kept on the dataset so
-    held-out data can reuse them. A NaN or infinite cell is a ParseError
-    naming its row.
+    class 0); the threshold may be any spec ``resolve_threshold`` accepts,
+    taken over that response. Feature columns are affinely scaled
+    per-column into [-1, 1] when ``scale`` is set; the scaling parameters
+    are kept on the dataset so held-out data can reuse them. A NaN or
+    infinite cell is a ParseError naming its row.
     """
     with open(path, newline="") as fh:
-        return _parse_csv(fh, label_column, scale, threshold, latent_column,
-                          name=str(path))
-
-
-def _parse_csv(fh, label_column, scale, threshold, latent_column, name=""):
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
+        table = list(csv.reader(fh))
+    if not table:
         raise ParseError("empty file: missing header row")
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in table[0]]
     if label_column not in header:
         raise ParseError(f"label column {label_column!r} not found in header")
     if latent_column is not None and latent_column not in header:
@@ -191,7 +190,7 @@ def _parse_csv(fh, label_column, scale, threshold, latent_column, name=""):
     feat_idx = [i for i in range(len(header))
                 if i != label_idx and i != latent_idx]
     rows, raw_labels, latents = [], [], []
-    for rownum, row in enumerate(reader, start=2):
+    for rownum, row in enumerate(table[1:], start=2):
         if len(row) != len(header):
             raise ParseError(f"row {rownum}: expected {len(header)} fields, "
                              f"got {len(row)}", row=rownum)
@@ -214,6 +213,7 @@ def _parse_csv(fh, label_column, scale, threshold, latent_column, name=""):
         rownum = int(np.argmin(finite)) + 2
         raise ParseError(f"row {rownum}: non-finite value", row=rownum)
     if threshold is not None:
+        threshold = resolve_threshold(threshold, raw_labels)
         labels = (raw_labels > threshold).astype(int)
     else:
         uniq = np.unique(raw_labels)
@@ -230,7 +230,7 @@ def _parse_csv(fh, label_column, scale, threshold, latent_column, name=""):
     return LabeledDataset(
         features=features, labels=labels,
         latent=np.asarray(latents) if latents else None,
-        threshold=threshold, name=name,
+        threshold=threshold, name=str(path),
         column_names=[header[i] for i in feat_idx],
         scale_params=scale_params)
 
@@ -246,22 +246,19 @@ def scale_features(features, lo, hi):
 
 def write_csv(ds: LabeledDataset, path) -> None:
     """Export a dataset to CSV."""
-    cols = ds.column_names or [f"x{i}" for i in range(ds.dim)]
-    header = list(cols)
-    if ds.latent is not None:
-        header.append("latent")
-    if ds.labels is not None:
-        header.append("label")
+    header = list(ds.column_names or [f"x{i}" for i in range(ds.dim)])
+    columns = []
+    for name, col, kind in (("latent", ds.latent, float),
+                            ("label", ds.labels, int)):
+        if col is not None:
+            header.append(name)
+            columns.append(np.asarray(col, dtype=kind).tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.features[i]]
-            if ds.latent is not None:
-                row.append(repr(float(ds.latent[i])))
-            if ds.labels is not None:
-                row.append(str(int(ds.labels[i])))
-            writer.writerow(row)
+        # csv writes a Python float as its repr, the shortest exact form
+        writer.writerows(f + rest for f, *rest in zip(ds.features.tolist(),
+                                                      *columns))
 
 
 def normalize_for_coverage(ds: LabeledDataset, preds: np.ndarray,
@@ -292,11 +289,3 @@ def normalize_for_coverage(ds: LabeledDataset, preds: np.ndarray,
         raise DatasetError("degenerate median prediction (zero spread)")
     preds_norm = (preds - med_mu) / med_sd
     return latent_norm, preds_norm
-
-
-def dataset_from_csv_text(text: str, label_column: str, scale: bool = True,
-                          threshold: Optional[float] = None,
-                          latent_column: Optional[str] = None) -> LabeledDataset:
-    """Parse CSV content already in memory (mainly for tests)."""
-    return _parse_csv(io.StringIO(text), label_column, scale, threshold,
-                      latent_column)

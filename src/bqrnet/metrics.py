@@ -87,30 +87,26 @@ class DeltaBinReport:
                             + [f"{v:.4f}" for v in self.retention] + [""])
 
 
-def delta_report(scores, labels,
-                 thresholds: Sequence[float] = DELTA_BIN_CENTERS,
-                 bin_centers: Sequence[float] = DELTA_BIN_CENTERS) -> DeltaBinReport:
+def delta_report(scores, labels) -> DeltaBinReport:
     """Misclassification and retention per confidence threshold, plus the
     calibration fit of per-bin misclassification against 0.5 - mean(delta).
 
-    A row is retained at threshold t when its delta >= t; bins assign each
-    row to the nearest center. ``scores`` is the ConfidenceScores of
+    The thresholds and the bin centers are both DELTA_BIN_CENTERS. A row is
+    retained at threshold t when its delta >= t; bins assign each row to the
+    nearest center. ``scores`` is the ConfidenceScores of
     smoothing.delta_scores.
     """
     labels = np.asarray(labels, dtype=int)
     deltas = np.asarray(scores.delta, dtype=float)
     if deltas.shape != labels.shape:
         raise ShapeError("scores and labels are misaligned")
-    for t in thresholds:
-        if not 0.0 <= t <= 0.5:
-            raise ValueError("thresholds must lie in [0, 0.5]")
     wrong = np.asarray(scores.predicted_label) != labels
     m_r, r_r = [], []
-    for t in thresholds:
+    for t in DELTA_BIN_CENTERS:
         keep = deltas >= t
         r_r.append(float(keep.mean()))
         m_r.append(float(wrong[keep].mean()) if keep.any() else None)
-    centers = np.asarray(bin_centers, dtype=float)
+    centers = np.asarray(DELTA_BIN_CENTERS)
     assign = np.argmin(np.abs(deltas[:, None] - centers[None, :]), axis=1)
     bin_mean_delta, bin_m = [], []
     for j in range(len(centers)):
@@ -124,8 +120,9 @@ def delta_report(scores, labels,
     obs = [m for m in bin_m if m is not None]
     pred = [0.5 - d for d, m in zip(bin_mean_delta, bin_m) if m is not None]
     r2 = r_squared(obs, pred) if len(obs) >= 2 else None
-    return DeltaBinReport(thresholds=list(thresholds), misclassification=m_r,
-                          retention=r_r, bin_centers=list(bin_centers),
+    return DeltaBinReport(thresholds=list(DELTA_BIN_CENTERS),
+                          misclassification=m_r, retention=r_r,
+                          bin_centers=list(DELTA_BIN_CENTERS),
                           bin_mean_delta=bin_mean_delta,
                           bin_misclassification=bin_m, r2=r2)
 

@@ -76,10 +76,6 @@ class TauGrid:
             raise ValueError("grid does not contain the median level 0.5")
         return idx
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        arr = self.array
-        return bool(np.all(np.abs(arr + arr[::-1] - 1.0) <= tol))
-
 
 def _layout(input_dim: int, trunk_widths: Sequence[int], m: int):
     """Trunk widths as Python ints (the checkpoint stores them as JSON), and

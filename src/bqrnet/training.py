@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-from typing import Optional
 
 import numpy as np
 
@@ -17,9 +16,6 @@ from .network import (QuantileNet, ShapeError, _trunk_deltas, apply_step,
 
 FIXED = "fixed"
 LALR = "lalr"
-
-DEFAULT_ETA_CAP = 10.0
-DEFAULT_KZ_FLOOR = 1e-3
 
 
 class TrainingDiverged(RuntimeError):
@@ -37,8 +33,6 @@ class TrainConfig:
     lr_mode: str = FIXED
     eta: float = 0.1
     seed: int = 0
-    kz_floor: float = DEFAULT_KZ_FLOOR
-    eta_cap: float = DEFAULT_ETA_CAP
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -49,10 +43,6 @@ class TrainConfig:
             raise ValueError(f"unknown lr mode {self.lr_mode!r}")
         if self.lr_mode == FIXED and self.eta <= 0:
             raise ValueError("fixed learning rate must be positive")
-        if self.kz_floor <= 0:
-            raise ValueError("kz floor must be positive")
-        if self.eta_cap <= 0:
-            raise ValueError("eta cap must be positive")
 
 
 @dataclasses.dataclass
@@ -87,15 +77,15 @@ class NotReached:
         return f"N/A ({self.max_accuracy:.3f})"
 
 
-def estimate_kz(net: QuantileNet, x: np.ndarray,
-                kz_floor: float = DEFAULT_KZ_FLOOR) -> float:
+def estimate_kz(net: QuantileNet, x: np.ndarray) -> float:
     """Max-norm bound on the gradient of any network output w.r.t. the
-    parameters, maximized over the batch, floored at kz_floor.
+    parameters, maximized over the batch.
 
     For a linear head over ReLU trunk activations, the per-layer
     output-parameter gradient of head j is an outer product delta * a, so
     its max-norm factorizes as max|delta| * max(|a|, 1) (the 1 covers the
-    bias coordinates).
+    bias coordinates). Each head's own bias has gradient exactly 1, so the
+    bound is never below 1.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] == 0:
@@ -108,27 +98,24 @@ def estimate_kz(net: QuantileNet, x: np.ndarray,
     # every head's top-layer delta at once: (m, 1, width) against (n, width)
     for i, dpre in _trunk_deltas(net, pres, net.head_w[:, None, :]):
         best = max(best, float((np.abs(dpre).max(axis=2) * a_scale[i]).max()))
-    return max(best, kz_floor)
+    return best
 
 
-def lalr_eta(kz: float, lip: float,
-             eta_cap: float = DEFAULT_ETA_CAP) -> float:
-    """Adaptive learning rate 1 / (kz * lip), capped at eta_cap."""
+def lalr_eta(kz: float, lip: float) -> float:
+    """Adaptive learning rate 1 / (kz * lip)."""
     if kz <= 0 or lip <= 0:
         raise losses.DomainError("kz and Lipschitz constant must be positive")
-    return min(1.0 / (kz * lip), eta_cap)
+    return 1.0 / (kz * lip)
 
 
 def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
-          spec: losses.LossSpec, cfg: TrainConfig,
-          eval_x: Optional[np.ndarray] = None,
-          eval_y: Optional[np.ndarray] = None):
+          spec: losses.LossSpec, cfg: TrainConfig):
     """Run minibatch SGD on 0/1 labels; returns (trained net copy,
     TrainTrace).
 
-    Per-epoch accuracy is computed on (eval_x, eval_y) if given, else on the
-    training set. In lalr mode k_z is re-estimated once per epoch from the
-    first shuffled batch.
+    Per-epoch accuracy is that of the sign of the median head (the only
+    head under BCE) on the training set. In lalr mode k_z is re-estimated
+    once per epoch from the first shuffled batch.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -138,6 +125,7 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
         raise ShapeError("empty dataset")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
+    col = 0 if spec.kind == losses.BCE else net.grid.median_index
     net = net.copy()
     trace = TrainTrace(records=[])
     n = x.shape[0]
@@ -147,8 +135,8 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
         order = rng.permutation(n)
         first = order[:cfg.batch_size]
         if cfg.lr_mode == LALR:
-            kz = estimate_kz(net, x[first], cfg.kz_floor)
-            eta = lalr_eta(kz, lip, cfg.eta_cap)
+            kz = estimate_kz(net, x[first])
+            eta = lalr_eta(kz, lip)
         else:
             kz = float("nan")
             eta = cfg.eta
@@ -165,18 +153,9 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
                     f"non-finite loss at epoch {epoch}", trace)
             apply_step(net, grads, eta)
             epoch_loss += loss * len(idx)
-        acc = _accuracy_on(net, spec,
-                           eval_x if eval_x is not None else x,
-                           eval_y if eval_y is not None else y)
+        acc = float(np.mean((forward(net, x)[:, col] > 0) == (y == 1.0)))
         trace.records.append(EpochRecord(epoch, epoch_loss / n, acc, eta, kz))
     return net, trace
-
-
-def _accuracy_on(net, spec, x, y):
-    """Accuracy of the sign of the median head (the only BCE head)."""
-    col = 0 if spec.kind == losses.BCE else net.grid.median_index
-    pred = (forward(net, x)[:, col] > 0).astype(int)
-    return float(np.mean(pred == np.asarray(y, dtype=int)))
 
 
 def epochs_to_target(trace: TrainTrace, target_acc: float):

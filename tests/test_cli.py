@@ -91,8 +91,7 @@ class TestTrain:
         rows = (trained / "trace.csv").read_text().splitlines()[1:3]
         for row in rows:
             _, _, _, eta, kz = row.split(",")
-            assert float(eta) == pytest.approx(
-                min(1.0 / (float(kz) * lip), 10.0))
+            assert float(eta) == pytest.approx(1.0 / (float(kz) * lip))
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -105,6 +104,28 @@ class TestTrain:
 
     def test_missing_dataset(self, capsys):
         assert run(["train", "--epochs", "1"]) == EXIT_VALIDATION
+
+    def test_percentile_threshold_on_csv_response(self, tmp_path):
+        rng = np.random.default_rng(4)
+        data = tmp_path / "d.csv"
+        np.savetxt(data, np.column_stack([rng.uniform(-1, 1, 500),
+                                          rng.normal(size=500)]),
+                   delimiter=",", header="x0,latent", comments="")
+        argv = ["train", "--data", data, "--label-column", "latent",
+                "--threshold", "p80", "--trunk", "4", "--epochs", "1",
+                "--out", tmp_path / "run"]
+        assert run(argv) == 0
+        cfg = cli._resolve(cli.build_parser().parse_args(map(str, argv)))
+        assert cli._load_dataset(cfg).labels.sum() == 100
+
+    @pytest.mark.parametrize("epochs", ["0", "1"])
+    def test_grid_without_median_rejected(self, tmp_path, capsys, epochs):
+        out = tmp_path / "run"
+        rc = run(["train", "--id", "D1", "--n", "100", "--grid", "0.1,0.9",
+                  "--epochs", epochs, "--out", out])
+        assert rc == EXIT_VALIDATION
+        assert "median" in capsys.readouterr().err
+        assert not (out / "checkpoint.npz").exists()
 
     def test_malformed_yaml_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

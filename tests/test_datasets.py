@@ -1,32 +1,37 @@
 """Simulated generators, thresholding, label flips, splits, CSV ingestion
 and export, and coverage normalization."""
 
+import csv
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from bqrnet.datasets import (DatasetError, LabeledDataset, NoiseSpec,
-                             ParseError, dataset_from_csv_text, flip_labels,
-                             gen_dataset, load_csv, normalize_for_coverage,
-                             scale_features, signal_fn, threshold_labels,
-                             train_test_split, write_csv)
+from bqrnet.datasets import (GENERATORS, DatasetError, LabeledDataset,
+                             NoiseSpec, ParseError, flip_labels, gen_dataset,
+                             load_csv, normalize_for_coverage, scale_features,
+                             threshold_labels, train_test_split, write_csv)
 from bqrnet.network import TauGrid
+
+
+def signal(dataset_id):
+    return GENERATORS[dataset_id][0]
 
 
 class TestGenerators:
     def test_signal_values_at_known_points(self):
-        assert signal_fn("D1")(np.array([0.0]))[0] == pytest.approx(0.0)
-        assert signal_fn("D2")(np.array([0.5]))[0] == pytest.approx(2.0)
-        assert signal_fn("D3")(np.array([0.0]))[0] == pytest.approx(
+        assert signal("D1")(np.array([0.0]))[0] == pytest.approx(0.0)
+        assert signal("D2")(np.array([0.5]))[0] == pytest.approx(2.0)
+        assert signal("D3")(np.array([0.0]))[0] == pytest.approx(
             np.sqrt(5) - 2.5)
         # removable singularity at the origin
-        assert signal_fn("D4")(np.array([0.0]))[0] == 0.0
+        assert signal("D4")(np.array([0.0]))[0] == 0.0
 
     def test_unknown_id(self):
         with pytest.raises(DatasetError):
             gen_dataset("D7", 10, 0)
         with pytest.raises(DatasetError):
-            signal_fn("bogus")
+            gen_dataset("bogus", 10, 0)
 
     def test_deterministic(self):
         a = gen_dataset("D1", 100, seed=5)
@@ -45,7 +50,7 @@ class TestGenerators:
         # sample mean of the latent vs the analytic signal mean over x in
         # (-1, 1) (noise is mean zero); agreement within 3 standard errors
         ds = gen_dataset("D5", 100_000, seed=7)
-        f = signal_fn("D5")
+        f = signal("D5")
         analytic, _ = integrate.quad(lambda x: f(np.array([x]))[0] / 2.0,
                                      -1.0, 1.0, epsabs=1e-10)
         se = ds.latent.std() / np.sqrt(ds.n)
@@ -53,7 +58,7 @@ class TestGenerators:
 
     def test_d6_noise_nonnegative(self):
         ds = gen_dataset("D6", 5000, seed=3)
-        resid = ds.latent - signal_fn("D6")(ds.features[:, 0])
+        resid = ds.latent - signal("D6")(ds.features[:, 0])
         assert np.all(resid >= 0.0)
         # chi^2(2)/4 has mean 1/2
         assert resid.mean() == pytest.approx(0.5, abs=0.05)
@@ -125,54 +130,76 @@ class TestSplit:
         assert np.array_equal(a.features, b.features)
 
 
+@pytest.fixture
+def from_text(tmp_path):
+    """load_csv over a file holding the given text."""
+    def load(text, **kwargs):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        return load_csv(path, **kwargs)
+    return load
+
+
 class TestCsv:
-    def test_scaling(self):
+    def test_scaling(self, from_text):
         text = "x,label\n0,0\n5,1\n10,1\n"
-        ds = dataset_from_csv_text(text, label_column="label")
+        ds = from_text(text, label_column="label")
         assert np.allclose(ds.features[:, 0], [-1.0, 0.0, 1.0])
         assert list(ds.labels) == [0, 1, 1]
 
-    def test_no_scaling(self):
+    def test_no_scaling(self, from_text):
         text = "x,label\n0,0\n5,1\n10,1\n"
-        ds = dataset_from_csv_text(text, label_column="label", scale=False)
+        ds = from_text(text, label_column="label", scale=False)
         assert np.allclose(ds.features[:, 0], [0.0, 5.0, 10.0])
 
-    def test_threshold_binarizes_real_response(self):
+    def test_threshold_binarizes_real_response(self, from_text):
         text = "x,resp\n0,1.5\n1,2.5\n2,3.5\n"
-        ds = dataset_from_csv_text(text, label_column="resp", threshold=2.5)
+        ds = from_text(text, label_column="resp", threshold=2.5)
         assert list(ds.labels) == [0, 0, 1]
 
-    def test_non_binary_without_threshold(self):
-        with pytest.raises(ParseError):
-            dataset_from_csv_text("x,label\n0,0.7\n", label_column="label")
+    @pytest.mark.parametrize("spec, threshold", [
+        ("median", 2.5), ("p50", 2.5), ("P0", 1.5), (" 2.0 ", 2.0), (2, 2.0)])
+    def test_threshold_spec_over_response(self, from_text, spec, threshold):
+        ds = from_text("x,resp\n0,1.5\n1,2.5\n2,3.5\n",
+                       label_column="resp", threshold=spec)
+        assert ds.threshold == threshold
+        assert list(ds.labels) == [int(r > threshold) for r in (1.5, 2.5, 3.5)]
 
-    def test_missing_label_column(self):
-        with pytest.raises(ParseError):
-            dataset_from_csv_text("x,y\n0,1\n", label_column="label")
+    def test_malformed_threshold_spec(self, from_text):
+        with pytest.raises(ValueError):
+            from_text("x,resp\n0,1.5\n", label_column="resp", threshold="mean")
 
-    def test_ragged_row_reports_line(self):
+    def test_non_binary_without_threshold(self, from_text):
+        with pytest.raises(ParseError):
+            from_text("x,label\n0,0.7\n", label_column="label")
+
+    def test_missing_label_column(self, from_text):
+        with pytest.raises(ParseError):
+            from_text("x,y\n0,1\n", label_column="label")
+
+    def test_ragged_row_reports_line(self, from_text):
         with pytest.raises(ParseError) as exc:
-            dataset_from_csv_text("x,label\n0,1\n2\n", label_column="label")
+            from_text("x,label\n0,1\n2\n", label_column="label")
         assert exc.value.row == 3
 
-    def test_non_numeric_field(self):
+    def test_non_numeric_field(self, from_text):
         with pytest.raises(ParseError):
-            dataset_from_csv_text("x,label\nfoo,1\n", label_column="label")
+            from_text("x,label\nfoo,1\n", label_column="label")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-    def test_non_finite_field_reports_line(self, cell):
+    def test_non_finite_field_reports_line(self, from_text, cell):
         with pytest.raises(ParseError) as exc:
-            dataset_from_csv_text(f"x0,label\n0.1,0\n{cell},1\n0.5,1\n",
-                                  label_column="label")
+            from_text(f"x0,label\n0.1,0\n{cell},1\n0.5,1\n",
+                      label_column="label")
         assert exc.value.row == 3
 
-    def test_non_finite_label_or_latent(self):
+    def test_non_finite_label_or_latent(self, from_text):
         with pytest.raises(ParseError):
-            dataset_from_csv_text("x,resp\n0,nan\n1,2\n",
-                                  label_column="resp", threshold=1.0)
+            from_text("x,resp\n0,nan\n1,2\n",
+                      label_column="resp", threshold=1.0)
         with pytest.raises(ParseError):
-            dataset_from_csv_text("x,lat,label\n0,0.5,0\n1,inf,1\n",
-                                  label_column="label", latent_column="lat")
+            from_text("x,lat,label\n0,0.5,0\n1,inf,1\n",
+                      label_column="label", latent_column="lat")
 
     def test_missing_file(self):
         with pytest.raises(OSError):
@@ -187,6 +214,28 @@ class TestCsv:
         assert np.allclose(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
         assert np.allclose(back.latent, ds.latent)
+
+    @pytest.mark.parametrize("latent, labels", [
+        (True, True), (False, True), (True, False)])
+    def test_write_csv_text_matches_per_row_repr(self, tmp_path, latent,
+                                                 labels):
+        ds = threshold_labels(gen_dataset("D6", 300, seed=2), 1.0)
+        ds = LabeledDataset(features=ds.features,
+                            labels=ds.labels if labels else None,
+                            latent=ds.latent if latent else None)
+        path, ref = tmp_path / "d6.csv", tmp_path / "ref.csv"
+        write_csv(ds, path)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x0"] + ["latent"] * latent + ["label"] * labels)
+            for i in range(ds.n):
+                row = [repr(float(v)) for v in ds.features[i]]
+                if latent:
+                    row.append(repr(float(ds.latent[i])))
+                if labels:
+                    row.append(str(int(ds.labels[i])))
+                writer.writerow(row)
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_scale_features_constant_column(self):
         out = scale_features(np.array([[2.0], [2.0]]),

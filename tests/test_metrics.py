@@ -130,11 +130,6 @@ class TestDeltaReport:
         rep = delta_report(reps, np.array(labels))
         assert rep.r2 is not None and rep.r2 > 0.8
 
-    def test_threshold_domain(self):
-        with pytest.raises(ValueError):
-            delta_report(self._reports([0.1], [1]), np.array([1]),
-                         thresholds=[0.7])
-
     def test_csv_marks_missing(self, tmp_path):
         labels = np.array([1, 0])
         rep = delta_report(self._reports([0.05, 0.05], labels), labels)

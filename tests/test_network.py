@@ -18,7 +18,6 @@ class TestTauGrid:
         assert grid.levels == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
         assert len(grid) == 9
         assert grid.median_index == 4
-        assert grid.is_symmetric()
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -38,9 +37,6 @@ class TestTauGrid:
         grid = TauGrid((0.4, 0.6))
         with pytest.raises(ValueError):
             grid.median_index
-
-    def test_asymmetric_grid(self):
-        assert not TauGrid((0.1, 0.5, 0.6)).is_symmetric()
 
 
 class TestInitNet:

@@ -3,8 +3,10 @@ behavior, and epochs-to-target reporting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bqrnet.losses import DomainError, LossSpec
+from bqrnet.losses import BCE, DomainError, LossSpec, lipschitz_const
 from bqrnet.network import (TauGrid, flatten_params, forward, forward_cached,
                             init_net, unflatten_params)
 from bqrnet.training import (EpochRecord, NotReached, TrainConfig, TrainTrace,
@@ -30,7 +32,7 @@ def offset_blob_data(n=400, seed=7):
     return x, y
 
 
-def estimate_kz_per_head(net, x, kz_floor=1e-3):
+def estimate_kz_per_head(net, x):
     """estimate_kz as a loop that recomputes every term for each head."""
     _, acts, pres = forward_cached(net, np.atleast_2d(x))
     best = 0.0
@@ -44,7 +46,7 @@ def estimate_kz_per_head(net, x, kz_floor=1e-3):
             layer_best = np.abs(dpre).max(axis=1) * np.maximum(a_prev, 1.0)
             best = max(best, float(layer_best.max()))
             delta = dpre @ net.trunk_w[i]
-    return max(best, kz_floor)
+    return best
 
 
 class TestEstimateKz:
@@ -54,11 +56,6 @@ class TestEstimateKz:
         net.trunk_w[0][:] = 0.0
         net.head_w[:] = 0.0
         assert estimate_kz(net, np.array([[0.3]])) == 1.0
-
-    def test_floor_applies(self):
-        net = init_net(1, [4], TauGrid.default(), seed=0)
-        # kz >= floor by construction even for tiny nets
-        assert estimate_kz(net, np.array([[0.0]]), kz_floor=5.0) == 5.0
 
     def test_single_linear_unit(self):
         # f = relu(w x) with head weight 1, w > 0, x = 2: df/dw = 2
@@ -71,7 +68,7 @@ class TestEstimateKz:
     def test_matches_finite_difference_jacobian(self):
         net = init_net(2, [3, 3], TauGrid((0.3, 0.5, 0.7)), seed=21)
         x = np.random.default_rng(6).normal(size=(4, 2))
-        kz = estimate_kz(net, x, kz_floor=1e-12)
+        kz = estimate_kz(net, x)
         theta = flatten_params(net)
         eps = 1e-6
         best = 0.0
@@ -106,7 +103,46 @@ class TestEstimateKz:
         rng = np.random.default_rng(seed)
         net.trunk_b[0][:] = rng.normal(size=trunk[0])
         x = rng.normal(0.0, 2.0, size=(n, input_dim))
-        assert estimate_kz(net, x, 1e-12) == estimate_kz_per_head(net, x, 1e-12)
+        assert estimate_kz(net, x) == estimate_kz_per_head(net, x)
+
+
+@st.composite
+def small_nets(draw):
+    """A ReLU net of 1-3 layers of 1-40 units and 1-9 heads, every
+    parameter scaled down by up to 1e-6, with a batch of 1-64 rows."""
+    input_dim = draw(st.integers(1, 3))
+    trunk = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    m = draw(st.integers(1, 9))
+    grid = TauGrid(tuple((np.arange(m) + 1.0) / (m + 1)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    net = init_net(input_dim, trunk, grid, seed=seed)
+    net.params *= draw(st.floats(1e-6, 1.0))
+    rows = draw(st.integers(1, 64))
+    x = np.random.default_rng(seed).normal(size=(rows, input_dim))
+    return net, x
+
+
+bqr_specs = st.builds(
+    lambda levels, lam: LossSpec(grid=TauGrid(tuple(sorted(levels))), lam=lam),
+    st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=1, max_size=9, unique=True),
+    st.floats(0.0, 100.0))
+bce_specs = st.just(LossSpec(grid=TauGrid((0.5,)), kind=BCE))
+
+
+class TestLalrInvariants:
+    """The bounds that keep eta = 1 / (k_z L) at most 2: k_z >= 1 from the
+    head-bias coordinates, and L >= 0.5."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_nets())
+    def test_kz_at_least_one(self, net_and_x):
+        net, x = net_and_x
+        assert estimate_kz(net, x) >= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(bqr_specs, bce_specs))
+    def test_lipschitz_at_least_half(self, spec):
+        assert lipschitz_const(spec) >= 0.5
 
 
 class TestLalrEta:
@@ -114,9 +150,9 @@ class TestLalrEta:
         assert lalr_eta(2.0, 0.5) == pytest.approx(1.0)
         assert lalr_eta(1.0, 0.9) == pytest.approx(1.0 / 0.9)
 
-    def test_cap(self):
-        assert lalr_eta(1e-3, 0.5) == 10.0
-        assert lalr_eta(1e-3, 0.5, eta_cap=100.0) == pytest.approx(100.0)
+    def test_no_cap(self):
+        # the paper's rule has no cap: a small k_z gives a large rate
+        assert lalr_eta(1e-3, 0.5) == 1.0 / (1e-3 * 0.5)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -135,12 +171,6 @@ class TestTrainConfig:
             TrainConfig(epochs=1, batch_size=8, lr_mode="adam")
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, batch_size=8, eta=0.0)
-
-    @pytest.mark.parametrize("cap", [0.0, -1.0])
-    def test_eta_cap_must_be_positive(self, cap):
-        # a cap of 0 froze LALR training; a negative cap climbed the loss
-        with pytest.raises(ValueError, match="eta cap"):
-            TrainConfig(epochs=5, batch_size=8, lr_mode="lalr", eta_cap=cap)
 
 
 class TestTrain:
@@ -194,10 +224,9 @@ class TestTrain:
         spec = LossSpec(grid=TauGrid.default())
         _, trace = train(net, x, y, spec,
                          TrainConfig(epochs=3, batch_size=16, lr_mode="lalr"))
-        from bqrnet.losses import lipschitz_const
         lip = lipschitz_const(spec)
         for rec in trace.records:
-            assert rec.eta == pytest.approx(min(1.0 / (rec.kz * lip), 10.0))
+            assert rec.eta == 1.0 / (rec.kz * lip)
 
     def test_lalr_beats_fixed_small_eta(self):
         # adaptive rate reaches the accuracy target in at most half the
@@ -240,16 +269,24 @@ class TestTrain:
                   LossSpec(grid=TauGrid.default()),
                   TrainConfig(epochs=1, batch_size=2))
 
-    def test_eval_set_used_for_accuracy(self):
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_grid_without_median_rejected_before_training(self, epochs):
+        # the accuracy reads the median head, so a grid without 0.5 fails
+        # before any epoch runs, also when there are none
+        grid = TauGrid((0.1, 0.9))
+        net = init_net(1, [4], grid, seed=9)
+        x, y = two_blob_data(40)
+        with pytest.raises(ValueError, match="median"):
+            train(net, x, y, LossSpec(grid=grid),
+                  TrainConfig(epochs=epochs, batch_size=8))
+
+    def test_accuracy_is_median_sign_on_training_set(self):
         x, y = two_blob_data(60)
         net = init_net(1, [8], TauGrid.default(), seed=4)
-        spec = LossSpec(grid=TauGrid.default())
-        cfg = TrainConfig(epochs=1, batch_size=16, seed=5)
-        # evaluation labels deliberately inverted: accuracy flips to 1 - a
-        _, t1 = train(net, x, y, spec, cfg)
-        _, t2 = train(net, x, y, spec, cfg, eval_x=x, eval_y=1 - y)
-        assert t2.records[0].accuracy == pytest.approx(
-            1.0 - t1.records[0].accuracy)
+        out, trace = train(net, x, y, LossSpec(grid=TauGrid.default()),
+                           TrainConfig(epochs=1, batch_size=16, seed=5))
+        pred = forward(out, x)[:, TauGrid.default().median_index] > 0
+        assert trace.records[0].accuracy == np.mean(pred == (y == 1))
 
     def test_trace_csv(self, tmp_path):
         x, y = two_blob_data(40)
