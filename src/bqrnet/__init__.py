@@ -5,8 +5,7 @@ from .datasets import (LabeledDataset, NoiseSpec, flip_labels, gen_dataset,
                        load_csv, normalize_for_coverage, threshold_labels,
                        train_test_split)
 from .losses import (BCE, BQR, CurvatureBounds, LossSpec, backward, bqr_loss,
-                     crossing_penalty, curvature_bounds, lipschitz_const,
-                     prob_pos, total_loss)
+                     curvature_bounds, lipschitz_const, prob_pos, total_loss)
 from .metrics import (CoverageTable, DeltaBinReport, accuracy, coverage,
                       delta_report, roc_auc, roc_auc_at_delta)
 from .network import (QuantileNet, TauGrid, forward, init_net, load_checkpoint,
@@ -18,14 +17,13 @@ from .smoothing import (ConfidenceReport, ConfidenceScores, SmoothedQuantileFn,
 from .training import (TrainConfig, TrainTrace, NotReached, epochs_to_target,
                        estimate_kz, lalr_eta, train)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "LabeledDataset", "NoiseSpec", "flip_labels", "gen_dataset", "load_csv",
     "normalize_for_coverage", "threshold_labels", "train_test_split",
     "BCE", "BQR", "CurvatureBounds", "LossSpec", "backward", "bqr_loss",
-    "crossing_penalty", "curvature_bounds", "lipschitz_const", "prob_pos",
-    "total_loss",
+    "curvature_bounds", "lipschitz_const", "prob_pos", "total_loss",
     "CoverageTable", "DeltaBinReport", "accuracy", "coverage", "delta_report",
     "roc_auc", "roc_auc_at_delta",
     "QuantileNet", "TauGrid", "forward", "init_net", "load_checkpoint",

@@ -10,7 +10,6 @@ configuration in its outputs. Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -172,7 +171,7 @@ def cmd_evaluate(args) -> int:
     summary = {"config": {k: v for k, v in cfg.items() if k != "config"},
                "config_hash": _config_hash(cfg),
                "n": ds.n, "grid": list(grid.levels)}
-    if ds.latent is not None and ds.threshold is not None:
+    if ds.latent is not None:
         lat_n, preds_n = datasets.normalize_for_coverage(ds, preds, grid)
         cov = metrics.coverage(lat_n, preds_n, grid)
         cov.to_csv(out / "coverage.csv", dataset_name=ds.name)
@@ -215,16 +214,15 @@ def cmd_noise_sweep(args) -> int:
             net = network.init_net(ds.dim, trunk, spec.grid, seed=seed)
             net, _ = training.train(net, noisy.features, noisy.labels, spec, tcfg)
             z = network.forward(net, ds.features)
-            col = 0 if kind == "bce" else spec.grid.median_index
-            acc = metrics.accuracy((z[:, col] > 0).astype(int), ds.labels)
+            acc = metrics.accuracy(
+                (z[:, spec.grid.median_index] > 0).astype(int), ds.labels)
             rows[kind].append(acc)
     out = _outdir(cfg)
     path = out / "noise_sweep.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "loss"] + [f"{f:.0%}" for f in fractions])
-        writer.writerow([ds.name, "BCE"] + [f"{a:.4f}" for a in rows["bce"]])
-        writer.writerow([ds.name, "BQR"] + [f"{a:.4f}" for a in rows["bqr"]])
+    datasets.write_rows(
+        path, ["dataset", "loss"] + [f"{f:.0%}" for f in fractions],
+        [[ds.name, kind.upper()] + [f"{a:.4f}" for a in accs]
+         for kind, accs in rows.items()])
     print(f"wrote {path} (config {_config_hash(cfg)})")
     return 0
 
@@ -249,11 +247,9 @@ def cmd_lalr_bench(args) -> int:
         results.append(training.epochs_to_target(trace, target))
     out = _outdir(cfg)
     path = out / "lalr_bench.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "target_acc", "n_fixed_0.01",
-                         "n_fixed_0.1", "n_lalr"])
-        writer.writerow([ds.name, target] + [str(r) for r in results])
+    datasets.write_rows(path, ["dataset", "target_acc", "n_fixed_0.01",
+                               "n_fixed_0.1", "n_lalr"],
+                        [[ds.name, target] + [str(r) for r in results]])
     print(f"wrote {path} (config {_config_hash(cfg)})")
     return 0
 
@@ -271,16 +267,12 @@ def cmd_smooth(args) -> int:
     lo, hi = smoothing.prediction_intervals(preds, grid, pi_level)
     out = _outdir(cfg)
     path = out / "smooth.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"q_{t:.2f}" for t in grid.levels]
-                        + ["mean", "variance", "delta", "label",
-                           "pi_low", "pi_high"])
-        # csv writes a Python float as its repr, the shortest exact form
-        columns = (mean, variance, scores.delta, scores.predicted_label,
-                   lo, hi)
-        writer.writerows(q + rest for q, *rest in zip(
-            preds.tolist(), *(c.tolist() for c in columns)))
+    columns = (mean, variance, scores.delta, scores.predicted_label, lo, hi)
+    datasets.write_rows(
+        path, [f"q_{t:.2f}" for t in grid.levels]
+        + ["mean", "variance", "delta", "label", "pi_low", "pi_high"],
+        (q + rest for q, *rest in zip(preds.tolist(),
+                                      *(c.tolist() for c in columns))))
     print(f"wrote {path} (config {_config_hash(cfg)})")
     return 0
 

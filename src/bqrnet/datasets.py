@@ -253,36 +253,40 @@ def write_csv(ds: LabeledDataset, path) -> None:
         if col is not None:
             header.append(name)
             columns.append(np.asarray(col, dtype=kind).tolist())
+    write_rows(path, header, (f + rest for f, *rest in zip(
+        ds.features.tolist(), *columns)))
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a header and then ``rows`` as CSV; csv writes a Python float as
+    its repr, the shortest exact form."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        # csv writes a Python float as its repr, the shortest exact form
-        writer.writerows(f + rest for f, *rest in zip(ds.features.tolist(),
-                                                      *columns))
+        writer.writerows(rows)
 
 
 def normalize_for_coverage(ds: LabeledDataset, preds: np.ndarray,
                            grid: TauGrid):
-    """Standardize the thresholded latent and the predicted quantiles onto a
-    common scale for coverage comparison.
+    """Standardize the true latent and the predicted quantiles onto a common
+    scale for coverage comparison.
 
-    The threshold is subtracted from the true latent and the result is
-    standardized to zero mean / unit sd. Every quantile column is then
+    The latent is standardized to zero mean / unit sd (a binarization
+    threshold would only shift it, so it cancels). Every quantile column is
     shifted and scaled by the mean and sd of the *median* column.
     Returns (normalized latent, normalized prediction matrix).
     """
-    if ds.latent is None or ds.threshold is None:
-        raise DatasetError("coverage normalization needs latent and threshold")
+    if ds.latent is None:
+        raise DatasetError("coverage normalization needs the true latent")
     preds = np.asarray(preds, dtype=float)
     if preds.shape[0] != ds.n:
         raise ShapeError("predictions are not aligned with dataset rows")
     if preds.shape[1] != len(grid):
         raise ShapeError("prediction width does not match grid size")
-    centred = ds.latent - ds.threshold
-    mu, sd = centred.mean(), centred.std()
+    mu, sd = ds.latent.mean(), ds.latent.std()
     if sd == 0.0:
         raise DatasetError("degenerate latent distribution (zero spread)")
-    latent_norm = (centred - mu) / sd
+    latent_norm = (ds.latent - mu) / sd
     med = preds[:, grid.median_index]
     med_mu, med_sd = med.mean(), med.std()
     if med_sd == 0.0:

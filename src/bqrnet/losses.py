@@ -1,5 +1,5 @@
 """Binary quantile classification loss: probability map, per-sample loss,
-analytic gradients, crossing penalty, cross-entropy baseline, and the
+analytic gradients with the crossing hinge, cross-entropy baseline, and the
 Lipschitz / curvature constants used by adaptive learning rates.
 
 Everything is vectorized over numpy arrays and pure.
@@ -30,12 +30,12 @@ class LossSpec:
     kind: str = BQR
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise DomainError("crossing weight must be non-negative")
+        if not 0 <= self.lam < np.inf:
+            raise DomainError("crossing weight must be non-negative and finite")
         if self.kind not in (BQR, BCE):
             raise DomainError(f"unknown loss kind {self.kind!r}")
-        if self.kind == BCE and len(self.grid) != 1:
-            raise DomainError("cross-entropy baseline uses a single output head")
+        if self.kind == BCE and self.grid.levels != (0.5,):
+            raise DomainError("cross-entropy baseline uses the single level 0.5")
 
 
 def _check_tau(tau):
@@ -107,31 +107,6 @@ def _hinge(values):
     diff = values[..., :-1] - values[..., 1:]
     active = diff > 0.0
     return np.where(active, diff, 0.0).sum(axis=-1), active
-
-
-def crossing_penalty(values):
-    """Hinge penalty for adjacent quantile crossings, plus its subgradient.
-
-    Returns (penalty, subgrad). Penalty is sum over adjacent pairs of
-    max(0, Q(tau_p) - Q(tau_{p+1})); it is zero iff values are
-    non-decreasing. The subgradient is +1/-1 on strictly violating pairs
-    and 0 elsewhere.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[None, :]
-        squeeze = True
-    else:
-        squeeze = False
-    if values.shape[-1] < 2:
-        raise ShapeError("crossing penalty needs at least two quantile levels")
-    penalty, active = _hinge(values)
-    sub = np.zeros_like(values)
-    sub[..., :-1] += active
-    sub[..., 1:] -= active
-    if squeeze:
-        return float(penalty[0]), sub[0]
-    return penalty, sub
 
 
 def _loss_and_grad(y, z, spec: LossSpec):

@@ -7,13 +7,13 @@ never silently dropped, so report shapes stay fixed.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from .datasets import write_rows
 from .network import ShapeError, TauGrid
 
 DELTA_BIN_CENTERS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -25,10 +25,8 @@ class CoverageTable:
     coverage: np.ndarray
 
     def to_csv(self, path, dataset_name: str = ""):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dataset"] + [f"{t:g}" for t in self.grid.levels])
-            writer.writerow([dataset_name] + [f"{c:.4f}" for c in self.coverage])
+        write_rows(path, ["dataset"] + [f"{t:g}" for t in self.grid.levels],
+                   [[dataset_name] + [f"{c:.4f}" for c in self.coverage]])
 
 
 def coverage(norm_latent, norm_preds, grid: TauGrid) -> CoverageTable:
@@ -66,25 +64,23 @@ def r_squared(observed, predicted) -> float:
 
 @dataclasses.dataclass
 class DeltaBinReport:
-    thresholds: Sequence[float]
+    """Figures per threshold and per bin, both at DELTA_BIN_CENTERS."""
+
     misclassification: list  # per threshold; None when nothing retained
     retention: list
-    bin_centers: Sequence[float]
     bin_mean_delta: list  # per bin; None when empty
     bin_misclassification: list
     r2: Optional[float]
 
     def to_csv(self, path, dataset_name: str = ""):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dataset", "rate"]
-                            + [f"{t:g}" for t in self.thresholds] + ["r2"])
-            fmt = lambda v: "NA" if v is None else f"{v:.4f}"
-            writer.writerow([dataset_name, "m_r"]
-                            + [fmt(v) for v in self.misclassification]
-                            + [fmt(self.r2)])
-            writer.writerow([dataset_name, "r_r"]
-                            + [f"{v:.4f}" for v in self.retention] + [""])
+        fmt = lambda v: "NA" if v is None else f"{v:.4f}"
+        write_rows(path, ["dataset", "rate"]
+                   + [f"{t:g}" for t in DELTA_BIN_CENTERS] + ["r2"],
+                   [[dataset_name, "m_r"]
+                    + [fmt(v) for v in self.misclassification]
+                    + [fmt(self.r2)],
+                    [dataset_name, "r_r"]
+                    + [f"{v:.4f}" for v in self.retention] + [""]])
 
 
 def delta_report(scores, labels) -> DeltaBinReport:
@@ -120,9 +116,7 @@ def delta_report(scores, labels) -> DeltaBinReport:
     obs = [m for m in bin_m if m is not None]
     pred = [0.5 - d for d, m in zip(bin_mean_delta, bin_m) if m is not None]
     r2 = r_squared(obs, pred) if len(obs) >= 2 else None
-    return DeltaBinReport(thresholds=list(DELTA_BIN_CENTERS),
-                          misclassification=m_r, retention=r_r,
-                          bin_centers=list(DELTA_BIN_CENTERS),
+    return DeltaBinReport(misclassification=m_r, retention=r_r,
                           bin_mean_delta=bin_mean_delta,
                           bin_misclassification=bin_m, r2=r2)
 

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import operator
+import zipfile
 from typing import Sequence
 
 import numpy as np
@@ -212,15 +213,13 @@ def forward_cached(net: QuantileNet, x: np.ndarray):
 def _trunk_deltas(net: QuantileNet, pres, d: np.ndarray):
     """Yield (i, gradient w.r.t. ``pres[i]``) for each trunk layer, top down,
     from ``d``, the gradient w.r.t. the top activations, broadcast to
-    (..., n, width); leading axes stack independent gradients into one 2-d
-    matmul per layer. ReLU passes gradient where pre >= 0 (its
-    right-derivative at the kink); the input gradient is never formed."""
+    (n, width). ReLU passes gradient where pre >= 0 (its right-derivative at
+    the kink); the input gradient is never formed."""
     d = d * (pres[-1] >= 0.0)
     for i in range(len(pres) - 1, -1, -1):
         yield i, d
         if i:
-            w = net.trunk_w[i]
-            d = (d.reshape(-1, w.shape[0]) @ w).reshape(d.shape[:-1] + (-1,))
+            d = d @ net.trunk_w[i]
             d *= pres[i - 1] >= 0.0
 
 
@@ -293,10 +292,17 @@ def save_checkpoint(net: QuantileNet, path) -> None:
 
 
 def load_checkpoint(path) -> QuantileNet:
-    with np.load(path) as ckpt:
-        meta = json.loads(bytes(ckpt["meta"].tobytes()).decode())
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version: {meta.get('version')!r}")
-        grid = TauGrid(tuple(ckpt["grid"]))
-        return QuantileNet(meta["input_dim"], meta["trunk_widths"], grid,
-                           ckpt["params"])
+    """Read a ``save_checkpoint`` file; any other file is a ValueError
+    naming the path."""
+    try:
+        with np.load(path) as ckpt:
+            meta = json.loads(bytes(ckpt["meta"].tobytes()).decode())
+            grid, params = TauGrid(tuple(ckpt["grid"])), ckpt["params"]
+        version, dim, widths = (meta[key] for key in
+                                ("version", "input_dim", "trunk_widths"))
+    except (KeyError, TypeError, ValueError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a bqrnet checkpoint ({exc})") from exc
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version: {version!r}")
+    return QuantileNet(dim, widths, grid, params)

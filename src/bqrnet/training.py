@@ -5,12 +5,12 @@ L is the loss Lipschitz constant.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 
 import numpy as np
 
 from . import losses
+from .datasets import write_rows
 from .network import (QuantileNet, ShapeError, _trunk_deltas, apply_step,
                       forward, forward_cached)
 
@@ -41,8 +41,8 @@ class TrainConfig:
             raise ValueError("batch size must be positive")
         if self.lr_mode not in (FIXED, LALR):
             raise ValueError(f"unknown lr mode {self.lr_mode!r}")
-        if self.lr_mode == FIXED and self.eta <= 0:
-            raise ValueError("fixed learning rate must be positive")
+        if self.lr_mode == FIXED and not 0 < self.eta < np.inf:
+            raise ValueError("fixed learning rate must be positive and finite")
 
 
 @dataclasses.dataclass
@@ -59,12 +59,8 @@ class TrainTrace:
     records: list
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss", "accuracy", "eta", "kz"])
-            for r in self.records:
-                writer.writerow([r.epoch, repr(r.loss), repr(r.accuracy),
-                                 repr(r.eta), repr(r.kz)])
+        write_rows(path, [f.name for f in dataclasses.fields(EpochRecord)],
+                   map(dataclasses.astuple, self.records))
 
 
 @dataclasses.dataclass
@@ -95,9 +91,10 @@ def estimate_kz(net: QuantileNet, x: np.ndarray) -> float:
     # every head's own gradient (trunk output activations and 1 for the bias)
     a_scale = [np.maximum(np.abs(a).max(axis=1), 1.0) for a in acts]
     best = float(a_scale[-1].max())
-    # every head's top-layer delta at once: (m, 1, width) against (n, width)
-    for i, dpre in _trunk_deltas(net, pres, net.head_w[:, None, :]):
-        best = max(best, float((np.abs(dpre).max(axis=2) * a_scale[i]).max()))
+    for w in net.head_w:
+        for i, dpre in _trunk_deltas(net, pres, w):
+            layer = np.abs(dpre).max(axis=1) * a_scale[i]
+            best = max(best, float(layer.max()))
     return best
 
 
@@ -125,7 +122,7 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
         raise ShapeError("empty dataset")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
-    col = 0 if spec.kind == losses.BCE else net.grid.median_index
+    col = net.grid.median_index
     net = net.copy()
     trace = TrainTrace(records=[])
     n = x.shape[0]

@@ -135,6 +135,17 @@ class TestTrain:
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--lam", "nan"), ("--lam", "inf")])
+    def test_non_finite_setting_rejected(self, tmp_path, capsys, flag, value):
+        # a validation error before the first epoch, not a divergence after it
+        out = tmp_path / "run"
+        rc = run(["train", "--id", "D1", "--n", "100", "--epochs", "1",
+                  flag, value, "--out", out])
+        assert rc == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_exit_code(self, tmp_path, capsys):
         out = tmp_path / "div"
@@ -164,6 +175,35 @@ class TestEvaluate:
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "absent.npz" in err
+
+    @pytest.mark.parametrize("kind", ["no_meta", "corrupt_zip"])
+    def test_bad_checkpoint_exit_code(self, tmp_path, capsys, kind):
+        path = tmp_path / "other.npz"
+        if kind == "no_meta":
+            np.savez(path, params=np.zeros(3))
+        else:
+            path.write_bytes(b"PK\x03\x04" + bytes(60))
+        rc = run(["evaluate", "--id", "D1", "--n", "20", "--seed", "1",
+                  "--checkpoint", path, "--out", tmp_path / "eval"])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "other.npz" in err
+
+    def test_csv_with_latent_column(self, trained, tmp_path, capsys):
+        # a simulate file carries no threshold; coverage needs only the latent
+        data = tmp_path / "d3.csv"
+        assert run(["simulate", "--id", "D3", "--n", "300", "--seed", "6",
+                    "--out", data]) == 0
+        out = tmp_path / "eval"
+        rc = run(["evaluate", "--data", data, "--label-column", "label",
+                  "--latent-column", "latent",
+                  "--checkpoint", trained / "checkpoint.npz", "--out", out])
+        assert rc == 0
+        assert "skipped" not in capsys.readouterr().out
+        assert (out / "coverage.csv").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(summary["coverage"]) == 9
+        assert all(0.0 <= c <= 1.0 for c in summary["coverage"])
 
     def test_csv_without_latent_skips_coverage(self, trained, tmp_path, capsys):
         data = tmp_path / "data.csv"

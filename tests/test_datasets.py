@@ -255,6 +255,20 @@ class TestCoverageNormalization:
         assert med.mean() == pytest.approx(0.0, abs=1e-9)
         assert med.std() == pytest.approx(1.0, abs=1e-9)
 
+    def test_threshold_cancels(self):
+        # coverage needs only the latent: subtracting any threshold first
+        # moves the standardized latent by rounding alone
+        ds = gen_dataset("D2", 300, seed=4)
+        preds = np.sort(np.random.default_rng(1).normal(size=(300, 9)), axis=1)
+        lat, _ = normalize_for_coverage(ds, preds, TauGrid.default())
+        for mu in (-2.0, 0.7, float(np.median(ds.latent))):
+            centred = ds.latent - mu
+            old = (centred - centred.mean()) / centred.std()
+            assert np.abs(lat - old).max() <= 1e-12
+            lat_t, _ = normalize_for_coverage(threshold_labels(ds, mu), preds,
+                                              TauGrid.default())
+            assert np.array_equal(lat_t, lat)
+
     def test_degenerate_latent(self):
         ds = LabeledDataset(features=np.zeros((5, 1)),
                             latent=np.full(5, 2.0), labels=np.zeros(5),

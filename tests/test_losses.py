@@ -1,15 +1,15 @@
 """Loss-layer correctness: probability map against an asymmetric-Laplace CDF
-quadrature oracle, analytic gradients against finite differences, crossing
-penalty, Lipschitz and curvature constants, and full-network backward."""
+quadrature oracle, analytic gradients against finite differences, the crossing
+hinge, Lipschitz and curvature constants, and full-network backward."""
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from bqrnet.losses import (BCE, BQR, DomainError, LossSpec, _bqr_terms,
-                           _loss_and_grad, backward, bqr_loss,
-                           crossing_penalty, curvature_bounds, lipschitz_const,
-                           prob_pos, total_grad, total_loss)
+                           _hinge, _loss_and_grad, backward, bqr_loss,
+                           curvature_bounds, lipschitz_const, prob_pos,
+                           total_grad, total_loss)
 from bqrnet.network import (TauGrid, flatten_grad, flatten_params, forward,
                             init_net, unflatten_params)
 
@@ -131,30 +131,66 @@ class TestBqrGrad:
 
 
 class TestCrossingPenalty:
+    """The crossing hinge ``_hinge`` and the +-lam subgradient that
+    ``_loss_and_grad`` adds for it in place."""
+
+    @staticmethod
+    def with_hinge_step(grad, active, lam):
+        """``grad`` plus the hinge subgradient, by the kernel's own ops."""
+        out = grad.copy()
+        step = lam * active
+        out[:, :-1] += step
+        out[:, 1:] -= step
+        return out
+
     def test_monotone_is_zero(self):
-        pen, sub = crossing_penalty(np.array([-1.0, 0.0, 2.0]))
+        pen, active = _hinge(np.array([-1.0, 0.0, 2.0]))
         assert pen == 0.0
-        assert np.all(sub == 0.0)
+        assert not active.any()
+        z = np.array([[-1.0, 0.0, 2.0]])
+        grid = TauGrid((0.2, 0.5, 0.8))
+        loss, grad = _loss_and_grad(np.ones(1), z, LossSpec(grid, lam=3.0))
+        loss0, grad0 = _loss_and_grad(np.ones(1), z, LossSpec(grid, lam=0.0))
+        assert np.array_equal(loss, loss0)
+        assert np.array_equal(grad, grad0)
 
     def test_single_violation(self):
-        pen, sub = crossing_penalty(np.array([1.0, 0.5]))
+        pen, active = _hinge(np.array([1.0, 0.5]))
         assert pen == pytest.approx(0.5)
-        assert np.array_equal(sub, [1.0, -1.0])
+        assert np.array_equal(active, [True])
+        z = np.array([[1.0, 0.5]])
+        grid = TauGrid((0.4, 0.6))
+        _, grad = _loss_and_grad(np.zeros(1), z, LossSpec(grid, lam=2.0))
+        _, grad0 = _loss_and_grad(np.zeros(1), z, LossSpec(grid, lam=0.0))
+        assert np.array_equal(grad, self.with_hinge_step(grad0, active[None], 2.0))
+        assert grad - grad0 == pytest.approx(np.array([[2.0, -2.0]]))
 
     def test_two_pairs(self):
-        pen, _ = crossing_penalty(np.array([3.0, 1.0, 2.0]))
+        pen, active = _hinge(np.array([3.0, 1.0, 2.0]))
         assert pen == pytest.approx(2.0)
+        assert np.array_equal(active, [True, False])
 
     def test_batched(self):
-        pen, sub = crossing_penalty(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        pen, active = _hinge(np.array([[1.0, 0.5], [0.0, 1.0]]))
         assert pen.shape == (2,)
         assert pen[0] == pytest.approx(0.5)
         assert pen[1] == 0.0
-        assert sub.shape == (2, 2)
+        assert np.array_equal(active, [[True], [False]])
 
-    def test_needs_two_levels(self):
-        with pytest.raises(ValueError):
-            crossing_penalty(np.array([1.0]))
+    def test_kernel_adds_lam_times_hinge(self):
+        rng = np.random.default_rng(12)
+        y = rng.integers(0, 2, 300).astype(float)
+        z = rng.normal(size=(300, 9))
+        lam = 1.5
+        loss, grad = _loss_and_grad(y, z, LossSpec(TauGrid.default(), lam=lam))
+        loss0, grad0 = _loss_and_grad(y, z, LossSpec(TauGrid.default(),
+                                                     lam=0.0))
+        pen, active = _hinge(z)
+        assert active.any() and not active.all()
+        expected = loss0.copy()
+        expected += lam * pen
+        assert np.array_equal(loss, expected)
+        assert np.array_equal(grad, self.with_hinge_step(grad0, active, lam))
 
 
 class TestTotalLoss:
@@ -189,9 +225,18 @@ class TestTotalLoss:
         with pytest.raises(DomainError):
             LossSpec(grid=TauGrid((0.4, 0.6)), kind=BCE)
 
+    def test_bce_requires_median_level(self):
+        with pytest.raises(DomainError, match="0.5"):
+            LossSpec(grid=TauGrid((0.3,)), kind=BCE)
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(DomainError):
             LossSpec(grid=TauGrid((0.5,)), lam=-1.0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(DomainError, match="finite"):
+            LossSpec(grid=TauGrid((0.5,)), lam=lam)
 
     def test_total_grad_matches_fd(self):
         rng = np.random.default_rng(3)

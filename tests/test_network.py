@@ -412,6 +412,27 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert np.array_equal(flatten_params(loaded), flatten_params(net))
 
+    @pytest.mark.parametrize("kind", ["no_meta", "corrupt_zip", "empty",
+                                      "npy_array", "list_meta", "no_dim"])
+    def test_not_a_checkpoint(self, tmp_path, kind):
+        path = tmp_path / "other.npz"
+        meta = {"list_meta": b"[1]",
+                "no_dim": b'{"version": "bqrnet-ckpt-1"}'}.get(kind)
+        if meta is not None:
+            np.savez(path, meta=np.frombuffer(meta, dtype=np.uint8),
+                     grid=np.array([0.5]), params=np.zeros(7))
+        elif kind == "no_meta":
+            np.savez(path, params=np.zeros(3))
+        elif kind == "corrupt_zip":
+            path.write_bytes(b"PK\x03\x04" + bytes(60))
+        elif kind == "empty":
+            path.write_bytes(b"")
+        else:
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        with pytest.raises(ValueError, match="other.npz"):
+            load_checkpoint(path)
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path,

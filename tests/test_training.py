@@ -1,6 +1,8 @@
 """Output-parameter gradient bound, adaptive learning rate, SGD loop
 behavior, and epochs-to-target reporting."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, batch_size=8, eta=0.0)
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+    def test_non_finite_fixed_rate_rejected(self, eta):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(epochs=1, batch_size=8, eta=eta)
+
 
 class TestTrain:
     def test_zero_epochs_identity(self):
@@ -298,6 +305,22 @@ class TestTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,loss,accuracy,eta,kz"
         assert len(lines) == 3
+
+    def test_trace_csv_bytes_match_per_row_repr(self, tmp_path):
+        # the writer before rows went through dataclasses.astuple
+        trace = TrainTrace(records=[
+            EpochRecord(1, 0.1 + 0.2, 2 / 3, 1e-300, float("nan")),
+            EpochRecord(2, 1.0, 0.5, 0.1, float("inf")),
+            EpochRecord(3, 5e-324, 1.0, 1 / 7, 12.75)])
+        path, ref = tmp_path / "trace.csv", tmp_path / "ref.csv"
+        trace.to_csv(path)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["epoch", "loss", "accuracy", "eta", "kz"])
+            for r in trace.records:
+                writer.writerow([r.epoch, repr(r.loss), repr(r.accuracy),
+                                 repr(r.eta), repr(r.kz)])
+        assert path.read_bytes() == ref.read_bytes()
 
 
 class TestEpochsToTarget:
