@@ -34,20 +34,20 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
-    if not isinstance(data, dict):
-        raise ValidationError("config file must contain a mapping")
-    return data
-
-
 def _resolve(args: argparse.Namespace) -> dict:
     """The config file's values overridden by every flag the command was
-    given; the parser gives each command only the flags it uses."""
-    out = _load_config(args.config)
+    given; the parser gives each command only the flags it uses. A file key
+    must be one of CONFIG_KEYS."""
+    out = {}
+    if args.config is not None:
+        with open(args.config) as fh:
+            out = yaml.safe_load(fh) or {}
+        if not isinstance(out, dict):
+            raise ValidationError("config file must contain a mapping")
+        unknown = sorted(map(str, out.keys() - CONFIG_KEYS))
+        if unknown:
+            raise ValidationError(f"unknown config key(s): {', '.join(unknown)} "
+                                  "(keys are the flags' dest names, e.g. batch_size)")
     out.update((key, val) for key, val in vars(args).items()
                if val is not None and key not in ("command", "fn", "config"))
     return out
@@ -70,25 +70,18 @@ def _list(cfg: dict, key: str, kind, default) -> list:
     return [kind(v) for v in np.atleast_1d(val)]
 
 
-def _parse_grid(cfg: dict) -> network.TauGrid:
-    return network.TauGrid(_list(cfg, "grid", float, network.DEFAULT_GRID))
-
-
-def _load_dataset(cfg: dict,
-                  default_n: int = 7000) -> datasets.LabeledDataset:
+def _load_dataset(cfg: dict, default_n: int = 7000) -> datasets.LabeledDataset:
     """The simulated dataset (labelled at its threshold, 'median' unless
     given) or the CSV file the config names."""
     if cfg.get("dataset_id"):
-        ds = datasets.gen_dataset(cfg["dataset_id"],
-                                  int(cfg.get("n", default_n)),
+        ds = datasets.gen_dataset(cfg["dataset_id"], int(cfg.get("n", default_n)),
                                   int(cfg.get("seed", 0)))
         return datasets.threshold_labels(ds, datasets.resolve_threshold(
             cfg.get("threshold", "median"), ds.latent))
     if cfg.get("data"):
         return datasets.load_csv(
             cfg["data"], label_column=_require(cfg, "label_column"),
-            scale=bool(cfg.get("scale", True)),
-            threshold=cfg.get("threshold"),
+            scale=bool(cfg.get("scale", True)), threshold=cfg.get("threshold"),
             latent_column=cfg.get("latent_column"))
     raise ValidationError("no dataset given: pass --id or --data")
 
@@ -103,16 +96,30 @@ def _train_config(cfg: dict) -> training.TrainConfig:
             raise ValidationError(f"bad lr {mode!r}: use 'lalr' or a number")
         mode = training.FIXED
     return training.TrainConfig(
-        epochs=int(cfg.get("epochs", 500)),
-        batch_size=int(cfg.get("batch_size", 128)),
+        epochs=int(cfg.get("epochs", 500)), batch_size=int(cfg.get("batch_size", 128)),
         lr_mode=mode, eta=eta, seed=int(cfg.get("seed", 0)))
 
 
-def _loss_spec(cfg: dict, grid: network.TauGrid) -> losses.LossSpec:
-    kind = str(cfg.get("loss", losses.BQR)).lower()
-    if kind == losses.BCE:
-        grid = network.TauGrid((0.5,))
-    return losses.LossSpec(grid=grid, lam=float(cfg.get("lam", 1.0)), kind=kind)
+def _fit_setup(cfg: dict, trunk_default: list):
+    """The dataset, and ``fresh(loss)``: a network at its initial weights and the
+    loss spec to train it with (the BCE baseline takes only the grid (0.5,))."""
+    ds = _load_dataset(cfg)
+    grid = network.TauGrid(_list(cfg, "grid", float, network.DEFAULT_GRID))
+    trunk = _list(cfg, "trunk", int, trunk_default)
+
+    def fresh(kind=str(cfg.get("loss", losses.BQR)).lower()):
+        levels = network.TauGrid((0.5,)) if kind == losses.BCE else grid
+        spec = losses.LossSpec(levels, lam=float(cfg.get("lam", 1.0)), kind=kind)
+        return network.init_net(ds.dim, trunk, levels, int(cfg.get("seed", 0))), spec
+
+    return ds, fresh
+
+
+def _score_setup(cfg: dict):
+    """The dataset, the checkpoint's grid and its predictions on the data."""
+    ds = _load_dataset(cfg)
+    net = network.load_checkpoint(_require(cfg, "checkpoint"))
+    return ds, net.grid, network.forward(net, ds.features)
 
 
 def _outdir(cfg: dict) -> Path:
@@ -121,207 +128,176 @@ def _outdir(cfg: dict) -> Path:
     return out
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve(args)
+def _summary(cfg: dict) -> dict:
+    return {"config": {k: v for k, v in cfg.items() if k != "config"},
+            "config_hash": _config_hash(cfg)}
+
+
+# Each command takes the resolved config and returns the line reporting what
+# it wrote, then any notes for that line's parentheses.
+def cmd_simulate(cfg: dict):
     _require(cfg, "dataset_id")
     ds = _load_dataset(cfg, default_n=10000)
     out = Path(cfg.get("out", f"{ds.name}.csv"))
     datasets.write_csv(ds, out)
-    print(f"wrote {ds.n} rows to {out} (threshold={ds.threshold:.6g}, "
-          f"config {_config_hash(cfg)})")
-    return 0
+    return f"wrote {ds.n} rows to {out}", f"threshold={ds.threshold:.6g}"
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve(args)
-    ds = _load_dataset(cfg)
-    grid = _parse_grid(cfg)
-    spec = _loss_spec(cfg, grid)
-    trunk = _list(cfg, "trunk", int, [64, 64])
-    net = network.init_net(ds.dim, trunk, spec.grid, seed=int(cfg.get("seed", 0)))
+def cmd_train(cfg: dict):
+    ds, fresh = _fit_setup(cfg, [64, 64])
+    net, spec = fresh()
     tcfg = _train_config(cfg)
     out = _outdir(cfg)
     try:
         net, trace = training.train(net, ds.features, ds.labels, spec, tcfg)
     except training.TrainingDiverged as exc:
         exc.trace.to_csv(out / "trace.csv")
-        print(f"error: {exc} (partial trace written)", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise training.TrainingDiverged(f"{exc} (partial trace written)",
+                                        exc.trace) from exc
     network.save_checkpoint(net, out / "checkpoint.npz")
     trace.to_csv(out / "trace.csv")
+    last = trace.records[-1] if trace.records else None
     metrics.summary_json(out / "train_summary.json", {
-        "config": {k: v for k, v in cfg.items() if k != "config"},
-        "config_hash": _config_hash(cfg),
-        "final_loss": trace.records[-1].loss if trace.records else None,
-        "final_accuracy": trace.records[-1].accuracy if trace.records else None,
-        "param_count": network.param_count(net),
-    })
-    print(f"wrote checkpoint.npz and trace.csv to {out} "
-          f"(config {_config_hash(cfg)})")
-    return 0
+        **_summary(cfg), "param_count": network.param_count(net),
+        "final_loss": last and last.loss, "final_accuracy": last and last.accuracy})
+    return f"wrote checkpoint.npz and trace.csv to {out}",
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _resolve(args)
-    ds = _load_dataset(cfg)
-    net = network.load_checkpoint(_require(cfg, "checkpoint"))
-    grid = net.grid
+def cmd_evaluate(cfg: dict):
+    ds, grid, preds = _score_setup(cfg)
     out = _outdir(cfg)
-    preds = network.forward(net, ds.features)
-    summary = {"config": {k: v for k, v in cfg.items() if k != "config"},
-               "config_hash": _config_hash(cfg),
-               "n": ds.n, "grid": list(grid.levels)}
-    if ds.latent is not None:
-        lat_n, preds_n = datasets.normalize_for_coverage(ds, preds, grid)
-        cov = metrics.coverage(lat_n, preds_n, grid)
-        cov.to_csv(out / "coverage.csv", dataset_name=ds.name)
-        summary["coverage"] = cov.coverage
-    else:
-        summary["coverage"] = None
+    cov = None
+    if ds.latent is None:
         print("note: no latent column; coverage table skipped")
+    else:
+        cov = metrics.coverage(*datasets.normalize_for_coverage(ds, preds, grid), grid)
+        cov.to_csv(out / "coverage.csv", dataset_name=ds.name)
     scores = smoothing.delta_scores(preds, grid)
     rep = metrics.delta_report(scores, ds.labels)
     rep.to_csv(out / "delta_report.csv", dataset_name=ds.name)
-    med = preds[:, grid.median_index]
-    summary["accuracy"] = metrics.accuracy(scores.predicted_label, ds.labels)
-    summary["auc"] = metrics.roc_auc(med, ds.labels)
-    summary["delta_r2"] = rep.r2
-    summary["misclassification_per_threshold"] = rep.misclassification
-    summary["retention_per_threshold"] = rep.retention
-    metrics.summary_json(out / "summary.json", summary)
-    print(f"wrote coverage/delta reports and summary.json to {out} "
-          f"(config {_config_hash(cfg)})")
-    return 0
+    metrics.summary_json(out / "summary.json", {
+        **_summary(cfg), "n": ds.n, "grid": list(grid.levels),
+        "coverage": cov and cov.coverage, "delta_r2": rep.r2,
+        "accuracy": metrics.accuracy(scores.predicted_label, ds.labels),
+        "auc": metrics.roc_auc(preds[:, grid.median_index], ds.labels),
+        "misclassification_per_threshold": rep.misclassification,
+        "retention_per_threshold": rep.retention})
+    return f"wrote coverage/delta reports and summary.json to {out}",
 
 
-def cmd_noise_sweep(args) -> int:
-    cfg = _resolve(args)
+def cmd_noise_sweep(cfg: dict):
     fractions = _list(cfg, "fractions", float, [0.0, 0.1, 0.2, 0.3, 0.4])
     for f in fractions:
         if not 0.0 <= f <= 0.5:
             raise ValidationError(f"flip fraction {f} outside [0, 0.5]")
-    ds = _load_dataset(cfg)
-    grid = _parse_grid(cfg)
-    seed = int(cfg.get("seed", 0))
-    trunk = _list(cfg, "trunk", int, [64, 64])
+    ds, fresh = _fit_setup(cfg, [64, 64])
     tcfg = _train_config(cfg)
     rows = {"bce": [], "bqr": []}
     for frac in fractions:
-        noisy = datasets.flip_labels(ds, datasets.NoiseSpec(frac, seed + 17)) \
-            if frac > 0 else ds
-        for kind in ("bce", "bqr"):
-            spec = _loss_spec({**cfg, "loss": kind}, grid)
-            net = network.init_net(ds.dim, trunk, spec.grid, seed=seed)
+        noise = datasets.NoiseSpec(frac, int(cfg.get("seed", 0)) + 17)
+        noisy = datasets.flip_labels(ds, noise) if frac > 0 else ds
+        for kind, accs in rows.items():
+            net, spec = fresh(kind)
             net, _ = training.train(net, noisy.features, noisy.labels, spec, tcfg)
             z = network.forward(net, ds.features)
-            acc = metrics.accuracy(
-                (z[:, spec.grid.median_index] > 0).astype(int), ds.labels)
-            rows[kind].append(acc)
-    out = _outdir(cfg)
-    path = out / "noise_sweep.csv"
+            accs.append(metrics.accuracy(
+                (z[:, spec.grid.median_index] > 0).astype(int), ds.labels))
+    path = _outdir(cfg) / "noise_sweep.csv"
     datasets.write_rows(
         path, ["dataset", "loss"] + [f"{f:.0%}" for f in fractions],
         [[ds.name, kind.upper()] + [f"{a:.4f}" for a in accs]
          for kind, accs in rows.items()])
-    print(f"wrote {path} (config {_config_hash(cfg)})")
-    return 0
+    return f"wrote {path}",
 
 
-def cmd_lalr_bench(args) -> int:
-    cfg = _resolve(args)
+def cmd_lalr_bench(cfg: dict):
     target = float(cfg.get("target_acc", 0.97))
-    ds = _load_dataset(cfg)
-    grid = _parse_grid(cfg)
-    spec = _loss_spec(cfg, grid)
-    seed = int(cfg.get("seed", 0))
-    trunk = _list(cfg, "trunk", int, [32, 32])
+    ds, fresh = _fit_setup(cfg, [32, 32])
     results = []
-    for mode, eta in ((training.FIXED, 0.01), (training.FIXED, 0.1),
-                      (training.LALR, 0.1)):
-        net = network.init_net(ds.dim, trunk, spec.grid, seed=seed)
-        tcfg = training.TrainConfig(
-            epochs=int(cfg.get("epochs", 1000)),
-            batch_size=int(cfg.get("batch_size", 64)),
-            lr_mode=mode, eta=eta, seed=seed + 1)
+    for lr in (0.01, 0.1, training.LALR):
+        net, spec = fresh()
+        tcfg = _train_config({"epochs": 1000, "batch_size": 64, **cfg, "lr": lr,
+                              "seed": int(cfg.get("seed", 0)) + 1})
         _, trace = training.train(net, ds.features, ds.labels, spec, tcfg)
         results.append(training.epochs_to_target(trace, target))
-    out = _outdir(cfg)
-    path = out / "lalr_bench.csv"
-    datasets.write_rows(path, ["dataset", "target_acc", "n_fixed_0.01",
-                               "n_fixed_0.1", "n_lalr"],
-                        [[ds.name, target] + [str(r) for r in results]])
-    print(f"wrote {path} (config {_config_hash(cfg)})")
-    return 0
+    path = _outdir(cfg) / "lalr_bench.csv"
+    datasets.write_rows(
+        path, ["dataset", "target_acc", "n_fixed_0.01", "n_fixed_0.1", "n_lalr"],
+        [[ds.name, target] + [str(r) for r in results]])
+    return f"wrote {path}",
 
 
-def cmd_smooth(args) -> int:
-    cfg = _resolve(args)
-    ds = _load_dataset(cfg)
-    net = network.load_checkpoint(_require(cfg, "checkpoint"))
-    grid = net.grid
-    h = float(cfg.get("bandwidth", smoothing.DEFAULT_BANDWIDTH))
-    pi_level = float(cfg.get("pi_level", 0.5))
-    preds = network.forward(net, ds.features)
-    mean, variance = smoothing.conditional_moments(preds, grid, h)
+def cmd_smooth(cfg: dict):
+    ds, grid, preds = _score_setup(cfg)
+    mean, variance = smoothing.conditional_moments(
+        preds, grid, float(cfg.get("bandwidth", smoothing.DEFAULT_BANDWIDTH)))
     scores = smoothing.delta_scores(preds, grid)
-    lo, hi = smoothing.prediction_intervals(preds, grid, pi_level)
-    out = _outdir(cfg)
-    path = out / "smooth.csv"
+    lo, hi = smoothing.prediction_intervals(
+        preds, grid, float(cfg.get("pi_level", 0.5)))
+    path = _outdir(cfg) / "smooth.csv"
     columns = (mean, variance, scores.delta, scores.predicted_label, lo, hi)
     datasets.write_rows(
         path, [f"q_{t:.2f}" for t in grid.levels]
         + ["mean", "variance", "delta", "label", "pi_low", "pi_high"],
         (q + rest for q, *rest in zip(preds.tolist(),
                                       *(c.tolist() for c in columns))))
-    print(f"wrote {path} (config {_config_hash(cfg)})")
-    return 0
+    return f"wrote {path}",
+
+
+# name -> (function, --help line)
+COMMANDS = {
+    "simulate": (cmd_simulate, "generate a simulated dataset CSV"),
+    "train": (cmd_train, "train command"),
+    "evaluate": (cmd_evaluate, "evaluate command"),
+    "noise-sweep": (cmd_noise_sweep, "noise-sweep command"),
+    "lalr-bench": (cmd_lalr_bench, "lalr-bench command"),
+    "smooth": (cmd_smooth, "smooth command"),
+}
+_ALL = tuple(COMMANDS)
+_FIT = ("train", "noise-sweep", "lalr-bench")
+_SCORE = ("evaluate", "smooth")
+
+# (flag, argparse keywords, commands that take it), in --help order
+OPTIONS = (
+    ("--config", dict(help="YAML config file; flags override it"), _ALL),
+    ("--id", dict(dest="dataset_id", help="simulated dataset id (D1..D6)"), _ALL),
+    ("--n", dict(type=int, help="number of simulated rows"), _ALL),
+    ("--seed", dict(type=int, help="master seed"), _ALL),
+    ("--threshold", dict(help="binarization threshold: number, 'median', or 'p80'"),
+     _ALL),
+    ("--out", dict(help="output directory (or file for simulate)"), _ALL),
+    ("--data", dict(help="CSV dataset path"), _FIT + _SCORE),
+    ("--label-column", {}, _FIT + _SCORE),
+    ("--latent-column", {}, _FIT + _SCORE),
+    ("--trunk", dict(help="comma-separated trunk widths"), _FIT),
+    ("--grid", dict(help="comma-separated quantile levels"), _FIT),
+    ("--lam", dict(type=float, help="crossing penalty weight"), _FIT),
+    ("--epochs", dict(type=int), _FIT),
+    ("--batch-size", dict(type=int), _FIT),
+    ("--loss", dict(choices=["bqr", "bce"]), ("train",)),
+    ("--lr", dict(help="'lalr' or a fixed learning rate"), ("train", "noise-sweep")),
+    ("--checkpoint", {}, _SCORE),
+    ("--fractions", dict(help="comma-separated flip fractions"), ("noise-sweep",)),
+    ("--target-acc", dict(type=float), ("lalr-bench",)),
+    ("--bandwidth", dict(type=float), ("smooth",)),
+    ("--pi-level", dict(type=float), ("smooth",)),
+)
+
+# the keys a config file may set: every option's dest, and the CSV scaling
+# switch, which has no flag
+CONFIG_KEYS = {kw.get("dest", flag[2:].replace("-", "_"))
+               for flag, kw, _ in OPTIONS} | {"scale"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="bqrnet",
-        description="Latent-quantile binary classification toolkit")
+        prog="bqrnet", description="Latent-quantile binary classification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, fn in (("simulate", cmd_simulate), ("train", cmd_train),
-                     ("evaluate", cmd_evaluate),
-                     ("noise-sweep", cmd_noise_sweep),
-                     ("lalr-bench", cmd_lalr_bench), ("smooth", cmd_smooth)):
-        p = sub.add_parser(name, help="generate a simulated dataset CSV"
-                           if name == "simulate" else f"{name} command")
-        p.set_defaults(fn=fn)
-        p.add_argument("--config", help="YAML config file; flags override it")
-        p.add_argument("--id", dest="dataset_id",
-                       help="simulated dataset id (D1..D6)")
-        p.add_argument("--n", type=int, help="number of simulated rows")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--threshold",
-                       help="binarization threshold: number, 'median', or 'p80'")
-        p.add_argument("--out", help="output directory (or file for simulate)")
-        if name == "simulate":
-            continue
-        p.add_argument("--data", help="CSV dataset path")
-        p.add_argument("--label-column", dest="label_column")
-        p.add_argument("--latent-column", dest="latent_column")
-        if name in ("train", "noise-sweep", "lalr-bench"):
-            p.add_argument("--trunk", help="comma-separated trunk widths")
-            p.add_argument("--grid", help="comma-separated quantile levels")
-            p.add_argument("--lam", type=float, help="crossing penalty weight")
-            p.add_argument("--epochs", type=int)
-            p.add_argument("--batch-size", dest="batch_size", type=int)
-        if name == "train":
-            p.add_argument("--loss", choices=["bqr", "bce"])
-        if name in ("train", "noise-sweep"):
-            p.add_argument("--lr", help="'lalr' or a fixed learning rate")
-        if name in ("evaluate", "smooth"):
-            p.add_argument("--checkpoint")
-        if name == "noise-sweep":
-            p.add_argument("--fractions", help="comma-separated flip fractions")
-        if name == "lalr-bench":
-            p.add_argument("--target-acc", dest="target_acc", type=float)
-        if name == "smooth":
-            p.add_argument("--bandwidth", type=float)
-            p.add_argument("--pi-level", dest="pi_level", type=float)
+    for name, (fn, help_) in COMMANDS.items():
+        sub.add_parser(name, help=help_).set_defaults(fn=fn)
+    for flag, kwargs, names in OPTIONS:
+        for name in names:
+            sub.choices[name].add_argument(flag, **kwargs)
     return parser
 
 
@@ -335,13 +311,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ValueError, OSError, yaml.YAMLError) as exc:
+        cfg = _resolve(args)
+        report, *notes = args.fn(cfg)
+    except (ValueError, OSError, yaml.YAMLError, training.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except training.TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        diverged = isinstance(exc, training.TrainingDiverged)
+        return EXIT_RUNTIME if diverged else EXIT_VALIDATION
+    print(f"{report} ({', '.join(notes + [f'config {_config_hash(cfg)}'])})")
+    return 0
 
 
 if __name__ == "__main__":

@@ -171,6 +171,18 @@ def _pass(net: QuantileNet, x: np.ndarray, pres, acts, z: np.ndarray) -> None:
     z += net.head_b
 
 
+def check_inputs(net: QuantileNet, x: np.ndarray) -> np.ndarray:
+    """``x`` as float64 rows of ``net.input_dim`` features: a ShapeError for
+    any other shape, a ValueError for a non-finite feature."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise ShapeError(
+            f"expected inputs with {net.input_dim} features, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("inputs must be finite")
+    return x
+
+
 def forward(net: QuantileNet, x: np.ndarray) -> np.ndarray:
     """Evaluate the latent quantile vector(s) for one sample or a batch.
 
@@ -181,13 +193,7 @@ def forward(net: QuantileNet, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ShapeError(
-            f"expected inputs with {net.input_dim} features, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("inputs must be finite")
+    x = check_inputs(net, x[None, :] if single else x)
     n = x.shape[0]
     z = np.empty((n, net.n_heads))
     # one buffer per layer, reused by every block as both pres and acts

@@ -12,7 +12,7 @@ import numpy as np
 from . import losses
 from .datasets import write_rows
 from .network import (QuantileNet, ShapeError, _trunk_deltas, apply_step,
-                      forward, forward_cached)
+                      check_inputs, forward, forward_cached)
 
 FIXED = "fixed"
 LALR = "lalr"
@@ -122,6 +122,7 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
         raise ShapeError("empty dataset")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
+    x = check_inputs(net, x)
     col = net.grid.median_index
     net = net.copy()
     trace = TrainTrace(records=[])

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: simulate, train, evaluate, noise-sweep,
 lalr-bench, and smooth, including config-file merging and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -370,6 +371,66 @@ class TestFlags:
             "trunk": "16,8", "grid": "0.25,0.5,0.75", "lam": 0.5,
             "loss": "bqr", "lr": "0.05", "batch_size": 32}
         assert cli._config_hash(cfg) == "b7c2a2c4d79cda78"
+
+    COMMON = ["--config", "--id", "--n", "--seed", "--threshold", "--out"]
+    DATA = COMMON + ["--data", "--label-column", "--latent-column"]
+    FIT = DATA + ["--trunk", "--grid", "--lam", "--epochs", "--batch-size"]
+    FLAGS = {
+        "simulate": COMMON,
+        "train": FIT + ["--loss", "--lr"],
+        "evaluate": DATA + ["--checkpoint"],
+        "noise-sweep": FIT + ["--lr", "--fractions"],
+        "lalr-bench": FIT + ["--target-acc"],
+        "smooth": DATA + ["--checkpoint", "--bandwidth", "--pi-level"],
+    }
+
+    @staticmethod
+    def subparsers():
+        return next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_each_command_takes_its_flags_in_order(self):
+        # the option strings of every command as 0.4.0 declared them
+        subparsers = self.subparsers()
+        assert list(subparsers) == list(self.FLAGS)
+        for name, flags in self.FLAGS.items():
+            got = [s for a in subparsers[name]._actions for s in a.option_strings]
+            assert got == ["-h", "--help"] + flags, name
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("train", "batch-size: 7\ndataset_id: D1\nn: 100\nepochs: 1\n",
+         "batch-size"),
+        ("simulate", "id: D1\n", "id"),
+        ("smooth", "bandwith: 0.3\n", "bandwith"),
+    ], ids=["flag-spelling", "flag-name", "misspelt"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, command,
+                                         text, key):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text)
+        out = tmp_path / "run"
+        assert run([command, "--config", config, "--out", out]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config key") and f" {key} " in err
+        assert not out.exists()
+
+    def test_config_keys_are_the_option_dests(self):
+        dests = {a.dest for sp in self.subparsers().values()
+                 for a in sp._actions if a.dest != "help"}
+        assert cli.CONFIG_KEYS == dests | {"scale"}
+
+    def test_scale_config_key(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("x0,label\n" + "".join(
+            f"{10 * i},{i % 2}\n" for i in range(20)))
+        config = tmp_path / "cfg.yaml"
+        for scale in ("true", "false"):
+            config.write_text(f"data: {data}\nlabel_column: label\n"
+                              f"scale: {scale}\n")
+            cfg = cli._resolve(cli.build_parser().parse_args(
+                ["evaluate", "--config", str(config)]))
+            features = cli._load_dataset(cfg).features
+            assert (features.max() == 190.0) == (scale == "false")
 
     @pytest.mark.parametrize("value,expected", [
         (None, [1.0]), ("0.25,0.5", [0.25, 0.5]), ([1, 2], [1.0, 2.0]),

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqrnet.losses import BCE, DomainError, LossSpec, lipschitz_const
-from bqrnet.network import (TauGrid, flatten_params, forward, forward_cached,
-                            init_net, unflatten_params)
+from bqrnet.network import (ShapeError, TauGrid, flatten_params, forward,
+                            forward_cached, init_net, unflatten_params)
 from bqrnet.training import (EpochRecord, NotReached, TrainConfig, TrainTrace,
                              TrainingDiverged, epochs_to_target, estimate_kz,
                              lalr_eta, train)
@@ -275,6 +275,22 @@ class TestTrain:
             train(net, np.zeros((3, 1)), np.array([0.0, 0.5, 1.0]),
                   LossSpec(grid=TauGrid.default()),
                   TrainConfig(epochs=1, batch_size=2))
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    @pytest.mark.parametrize("x, error, match", [
+        (np.array([[0.1], [np.nan], [0.3]]), ValueError, "finite"),
+        (np.array([[0.1], [np.inf], [0.3]]), ValueError, "finite"),
+        (np.zeros((3, 2)), ShapeError, "expected inputs with 1 features"),
+    ])
+    def test_bad_features_rejected_before_training(self, epochs, x, error,
+                                                   match):
+        # the check forward makes, before the first epoch rather than as a
+        # divergence or a matmul error inside it
+        net = init_net(1, [4], TauGrid.default(), seed=9)
+        with pytest.raises(error, match=match):
+            train(net, x, np.array([0.0, 1.0, 1.0]),
+                  LossSpec(grid=TauGrid.default()),
+                  TrainConfig(epochs=epochs, batch_size=2))
 
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_grid_without_median_rejected_before_training(self, epochs):
