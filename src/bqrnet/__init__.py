@@ -10,14 +10,14 @@ from .metrics import (CoverageTable, DeltaBinReport, accuracy, coverage,
                       delta_report, roc_auc, roc_auc_at_delta)
 from .network import (QuantileNet, TauGrid, forward, init_net, load_checkpoint,
                       param_count, save_checkpoint)
-from .smoothing import (ConfidenceReport, ConfidenceScores, SmoothedQuantileFn,
-                        conditional_mean, conditional_moments,
-                        conditional_stat, delta_score, delta_scores,
-                        prediction_interval, prediction_intervals, smooth)
+from .smoothing import (ConfidenceScores, SmoothedQuantileFn, conditional_mean,
+                        conditional_moments, conditional_stat, delta_score,
+                        delta_scores, prediction_interval,
+                        prediction_intervals, smooth)
 from .training import (TrainConfig, TrainTrace, NotReached, epochs_to_target,
                        estimate_kz, lalr_eta, train)
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "LabeledDataset", "NoiseSpec", "flip_labels", "gen_dataset", "load_csv",
@@ -28,7 +28,7 @@ __all__ = [
     "roc_auc", "roc_auc_at_delta",
     "QuantileNet", "TauGrid", "forward", "init_net", "load_checkpoint",
     "param_count", "save_checkpoint",
-    "ConfidenceReport", "ConfidenceScores", "SmoothedQuantileFn",
+    "ConfidenceScores", "SmoothedQuantileFn",
     "conditional_mean", "conditional_moments", "conditional_stat",
     "delta_score", "delta_scores", "prediction_interval",
     "prediction_intervals", "smooth",

@@ -16,7 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import datasets, losses, metrics, network, smoothing, training
@@ -53,41 +52,66 @@ def _resolve(args: argparse.Namespace) -> dict:
     return out
 
 
-def _require(cfg: dict, key: str):
-    if cfg.get(key) is None:
+def _typed(key: str, val, kind):
+    """``val`` when it is of type ``kind`` (or of one in a tuple of types),
+    else a ValidationError naming ``key``. A float may be given as an int;
+    true and false are bools only, not ints. A float comes back as a float."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    kinds += (int,) if float in kinds else ()
+    if isinstance(val, bool) != (bool in kinds) or not isinstance(val, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValidationError(f"{key} must be {names}, not "
+                              f"{json.dumps(val, default=str)}")
+    return float(val) if kind is float else val
+
+
+def _get(cfg: dict, key: str, kind, default=None):
+    """cfg[key] checked by ``_typed``, or ``default`` when the key is absent.
+    A null value stands for an absent key only where the default is None."""
+    val = cfg.get(key, default)
+    return None if val is None and default is None else _typed(key, val, kind)
+
+
+def _require(cfg: dict, key: str) -> str:
+    val = _get(cfg, key, str)
+    if val is None:
         raise ValidationError(f"missing required option: {key}")
-    return cfg[key]
+    return val
 
 
 def _list(cfg: dict, key: str, kind, default) -> list:
     """cfg[key] as a list of ``kind``: a flag gives comma-separated text, a
-    config file a list or a single value."""
-    val = cfg.get(key)
+    config file a list, a single value or the same text; null is the
+    default. Text items are converted, the others checked by ``_typed``."""
+    val = _get(cfg, key, (str, list, kind))
     if val is None:
         return default
     if isinstance(val, str):
         val = val.split(",")
-    return [kind(v) for v in np.atleast_1d(val)]
+    elif not isinstance(val, list):
+        val = [val]
+    return [kind(v) if isinstance(v, str) else _typed(key, v, kind) for v in val]
 
 
 def _load_dataset(cfg: dict, default_n: int = 7000) -> datasets.LabeledDataset:
     """The simulated dataset (labelled at its threshold, 'median' unless
     given) or the CSV file the config names."""
-    if cfg.get("dataset_id"):
-        ds = datasets.gen_dataset(cfg["dataset_id"], int(cfg.get("n", default_n)),
-                                  int(cfg.get("seed", 0)))
+    if _get(cfg, "dataset_id", str):
+        ds = datasets.gen_dataset(cfg["dataset_id"], _get(cfg, "n", int, default_n),
+                                  _get(cfg, "seed", int, 0))
         return datasets.threshold_labels(ds, datasets.resolve_threshold(
-            cfg.get("threshold", "median"), ds.latent))
-    if cfg.get("data"):
+            _get(cfg, "threshold", (str, float), "median"), ds.latent))
+    if _get(cfg, "data", str):
         return datasets.load_csv(
             cfg["data"], label_column=_require(cfg, "label_column"),
-            scale=bool(cfg.get("scale", True)), threshold=cfg.get("threshold"),
-            latent_column=cfg.get("latent_column"))
+            scale=_get(cfg, "scale", bool, True),
+            threshold=_get(cfg, "threshold", (str, float)),
+            latent_column=_get(cfg, "latent_column", str))
     raise ValidationError("no dataset given: pass --id or --data")
 
 
 def _train_config(cfg: dict) -> training.TrainConfig:
-    mode = str(cfg.get("lr", "lalr")).lower()
+    mode = str(_get(cfg, "lr", (str, float), "lalr")).lower()
     eta = 0.1
     if mode not in (training.FIXED, training.LALR):
         try:
@@ -96,8 +120,9 @@ def _train_config(cfg: dict) -> training.TrainConfig:
             raise ValidationError(f"bad lr {mode!r}: use 'lalr' or a number")
         mode = training.FIXED
     return training.TrainConfig(
-        epochs=int(cfg.get("epochs", 500)), batch_size=int(cfg.get("batch_size", 128)),
-        lr_mode=mode, eta=eta, seed=int(cfg.get("seed", 0)))
+        epochs=_get(cfg, "epochs", int, 500),
+        batch_size=_get(cfg, "batch_size", int, 128),
+        lr_mode=mode, eta=eta, seed=_get(cfg, "seed", int, 0))
 
 
 def _fit_setup(cfg: dict, trunk_default: list):
@@ -107,10 +132,11 @@ def _fit_setup(cfg: dict, trunk_default: list):
     grid = network.TauGrid(_list(cfg, "grid", float, network.DEFAULT_GRID))
     trunk = _list(cfg, "trunk", int, trunk_default)
 
-    def fresh(kind=str(cfg.get("loss", losses.BQR)).lower()):
+    def fresh(kind=_get(cfg, "loss", str, losses.BQR).lower()):
         levels = network.TauGrid((0.5,)) if kind == losses.BCE else grid
-        spec = losses.LossSpec(levels, lam=float(cfg.get("lam", 1.0)), kind=kind)
-        return network.init_net(ds.dim, trunk, levels, int(cfg.get("seed", 0))), spec
+        spec = losses.LossSpec(levels, lam=_get(cfg, "lam", float, 1.0), kind=kind)
+        seed = _get(cfg, "seed", int, 0)
+        return network.init_net(ds.dim, trunk, levels, seed), spec
 
     return ds, fresh
 
@@ -123,7 +149,7 @@ def _score_setup(cfg: dict):
 
 
 def _outdir(cfg: dict) -> Path:
-    out = Path(cfg.get("out", "."))
+    out = Path(_get(cfg, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -138,7 +164,7 @@ def _summary(cfg: dict) -> dict:
 def cmd_simulate(cfg: dict):
     _require(cfg, "dataset_id")
     ds = _load_dataset(cfg, default_n=10000)
-    out = Path(cfg.get("out", f"{ds.name}.csv"))
+    out = Path(_get(cfg, "out", str, f"{ds.name}.csv"))
     datasets.write_csv(ds, out)
     return f"wrote {ds.n} rows to {out}", f"threshold={ds.threshold:.6g}"
 
@@ -194,7 +220,7 @@ def cmd_noise_sweep(cfg: dict):
     tcfg = _train_config(cfg)
     rows = {"bce": [], "bqr": []}
     for frac in fractions:
-        noise = datasets.NoiseSpec(frac, int(cfg.get("seed", 0)) + 17)
+        noise = datasets.NoiseSpec(frac, _get(cfg, "seed", int, 0) + 17)
         noisy = datasets.flip_labels(ds, noise) if frac > 0 else ds
         for kind, accs in rows.items():
             net, spec = fresh(kind)
@@ -211,13 +237,13 @@ def cmd_noise_sweep(cfg: dict):
 
 
 def cmd_lalr_bench(cfg: dict):
-    target = float(cfg.get("target_acc", 0.97))
+    target = _get(cfg, "target_acc", float, 0.97)
     ds, fresh = _fit_setup(cfg, [32, 32])
     results = []
     for lr in (0.01, 0.1, training.LALR):
         net, spec = fresh()
         tcfg = _train_config({"epochs": 1000, "batch_size": 64, **cfg, "lr": lr,
-                              "seed": int(cfg.get("seed", 0)) + 1})
+                              "seed": _get(cfg, "seed", int, 0) + 1})
         _, trace = training.train(net, ds.features, ds.labels, spec, tcfg)
         results.append(training.epochs_to_target(trace, target))
     path = _outdir(cfg) / "lalr_bench.csv"
@@ -230,10 +256,10 @@ def cmd_lalr_bench(cfg: dict):
 def cmd_smooth(cfg: dict):
     ds, grid, preds = _score_setup(cfg)
     mean, variance = smoothing.conditional_moments(
-        preds, grid, float(cfg.get("bandwidth", smoothing.DEFAULT_BANDWIDTH)))
+        preds, grid, _get(cfg, "bandwidth", float, smoothing.DEFAULT_BANDWIDTH))
     scores = smoothing.delta_scores(preds, grid)
     lo, hi = smoothing.prediction_intervals(
-        preds, grid, float(cfg.get("pi_level", 0.5)))
+        preds, grid, _get(cfg, "pi_level", float, 0.5))
     path = _outdir(cfg) / "smooth.csv"
     columns = (mean, variance, scores.delta, scores.predicted_label, lo, hi)
     datasets.write_rows(

@@ -231,8 +231,9 @@ def backward(net, x, y, spec: LossSpec):
     """Gradient of the mean total loss over a batch of 0/1 labels w.r.t.
     every parameter.
 
-    Returns (Gradients, mean loss). The analytic gradient matches central
-    finite differences away from the loss and ReLU kinks.
+    Returns (gradient, mean loss); the gradient is one vector laid out like
+    ``net.params``. It matches central finite differences away from the
+    loss and ReLU kinks.
     """
     from .network import backprop_from_outputs, forward_cached
 
@@ -247,5 +248,4 @@ def backward(net, x, y, spec: LossSpec):
         raise FloatingPointError("non-finite network output")
     loss, dz = _loss_and_grad(y, z, spec)
     dz /= x.shape[0]
-    grads = backprop_from_outputs(net, acts, pres, dz)
-    return grads, float(np.mean(loss))
+    return backprop_from_outputs(net, acts, pres, dz), float(np.mean(loss))

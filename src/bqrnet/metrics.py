@@ -1,8 +1,8 @@
 """Dataset-level metrics: empirical coverage, confidence-binned
-misclassification and retention, calibration fit, rank AUC, and accuracy.
+misclassification and retention, calibration fit, pair-count AUC, and accuracy.
 
-Undefined values (empty retained sets, empty bins) are surfaced as None,
-never silently dropped, so report shapes stay fixed.
+Undefined values (empty retained sets, empty bins, an R^2 of constant rates)
+are surfaced as None, never silently dropped, so report shapes stay fixed.
 """
 
 from __future__ import annotations
@@ -50,16 +50,15 @@ def accuracy(predicted, actual) -> float:
     return float(np.mean(predicted == actual))
 
 
-def r_squared(observed, predicted) -> float:
+def r_squared(observed, predicted) -> Optional[float]:
     """Coefficient of determination of predicted against observed; can be
-    arbitrarily negative for a poor fit."""
+    arbitrarily negative for a poor fit, and is None (undefined) when the
+    observed values do not vary."""
     observed = np.asarray(observed, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     ss_res = float(np.sum((observed - predicted) ** 2))
     ss_tot = float(np.sum((observed - observed.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else float("-inf")
-    return 1.0 - ss_res / ss_tot
+    return None if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
 @dataclasses.dataclass
@@ -122,32 +121,21 @@ def delta_report(scores, labels) -> DeltaBinReport:
 
 
 def roc_auc(scores, labels) -> Optional[float]:
-    """Rank-statistic AUC; ties contribute half. None when one class is
-    absent."""
+    """Probability that a random positive outscores a random negative, ties
+    counting half (the Mann-Whitney pair count). None when one class is
+    absent, NaN when a score is NaN."""
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
+    pos = np.asarray(labels, dtype=int) == 1
+    n_pos = int(pos.sum())
+    n_neg = pos.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = _average_ranks(scores)
-    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
-
-
-def _average_ranks(x):
-    """1-based ranks of x, with each group of ties given its average rank;
-    all NaN when x holds a NaN, so an AUC over NaN scores is NaN."""
-    if np.isnan(x).any():
-        return np.full(x.size, np.nan)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    ends = np.r_[starts[1:], x.size]
-    group = np.repeat(np.arange(starts.size), ends - starts)
-    ranks = np.empty(x.size)
-    ranks[order] = 0.5 * (starts + ends + 1)[group]
-    return ranks
+    if np.isnan(scores).any():
+        return float("nan")
+    neg = np.sort(scores[~pos])
+    below = np.searchsorted(neg, scores[pos], side="left")
+    tied = np.searchsorted(neg, scores[pos], side="right") - below
+    return float((below.sum() + 0.5 * tied.sum()) / (n_pos * n_neg))
 
 
 def roc_auc_at_delta(scores, labels, confidence,
@@ -168,10 +156,12 @@ def roc_auc_at_delta(scores, labels, confidence,
 
 
 def summary_json(path, payload: dict) -> None:
-    """Write a reproducibility summary (config, seeds, metrics) as JSON."""
+    """Write a reproducibility summary (config, seeds, metrics) as strict
+    JSON: a NaN or infinite value is a ValueError, and nothing is written."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonify,
+                      allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonify)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _jsonify(obj):

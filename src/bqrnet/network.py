@@ -230,37 +230,26 @@ def _trunk_deltas(net: QuantileNet, pres, d: np.ndarray):
 
 
 def backprop_from_outputs(net: QuantileNet, acts, pres,
-                          dz: np.ndarray) -> "Gradients":
-    """Push d(objective)/d(outputs) back to parameter space.
+                          dz: np.ndarray) -> np.ndarray:
+    """Push d(objective)/d(outputs) back to parameter space: one vector laid
+    out like ``net.params``.
 
     ``dz`` has shape (n, m); the result already carries whatever reduction
     the caller baked into dz (mean over the batch happens upstream).
     """
-    flat = np.empty(net.params.size)
-    grad = Gradients(flat, *_views(flat, net._layout))
-    np.matmul(dz.T, acts[-1], out=grad.head_w)
-    np.sum(dz, axis=0, out=grad.head_b)
+    grad = np.empty(net.params.size)
+    trunk_w, trunk_b, head_w, head_b = _views(grad, net._layout)
+    np.matmul(dz.T, acts[-1], out=head_w)
+    np.sum(dz, axis=0, out=head_b)
     for i, dpre in _trunk_deltas(net, pres, dz @ net.head_w):
-        np.matmul(dpre.T, acts[i], out=grad.trunk_w[i])
-        np.sum(dpre, axis=0, out=grad.trunk_b[i])
+        np.matmul(dpre.T, acts[i], out=trunk_w[i])
+        np.sum(dpre, axis=0, out=trunk_b[i])
     return grad
 
 
-@dataclasses.dataclass(eq=False)
-class Gradients:
-    """Gradient w.r.t. every parameter in one vector ``flat``, laid out as
-    ``QuantileNet.params``; the per-array fields are views into it."""
-
-    flat: np.ndarray
-    trunk_w: list
-    trunk_b: list
-    head_w: np.ndarray
-    head_b: np.ndarray
-
-
-def apply_step(net: QuantileNet, grad: Gradients, eta: float) -> None:
+def apply_step(net: QuantileNet, grad: np.ndarray, eta: float) -> None:
     """In-place SGD step w <- w - eta * grad."""
-    net.params -= eta * grad.flat
+    net.params -= eta * grad
 
 
 def param_count(net: QuantileNet) -> int:
@@ -278,8 +267,9 @@ def unflatten_params(net: QuantileNet, flat: np.ndarray) -> QuantileNet:
     return dataclasses.replace(net, params=flat)
 
 
-def flatten_grad(grad: Gradients) -> np.ndarray:
-    return grad.flat
+def flatten_grad(grad: np.ndarray) -> np.ndarray:
+    """The gradient itself, already one vector laid out like ``params``."""
+    return grad
 
 
 def save_checkpoint(net: QuantileNet, path) -> None:

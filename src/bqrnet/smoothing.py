@@ -206,22 +206,11 @@ def prediction_interval(values, grid: TauGrid, level: float):
 
 
 @dataclasses.dataclass(frozen=True)
-class ConfidenceReport:
-    """Per-sample confidence: distance (in quantile probability) from the
-    median to the latent sign change, the implied label, and the calibrated
-    expected misclassification rate 0.5 - delta."""
-
-    delta: float
-    predicted_label: int
-
-    @property
-    def expected_misclassification(self) -> float:
-        return 0.5 - self.delta
-
-
-@dataclasses.dataclass(frozen=True)
 class ConfidenceScores:
-    """ConfidenceReport for every row of a prediction matrix, as arrays."""
+    """Per-sample confidence: the distance (in quantile probability) from
+    the median to the latent sign change, the implied label, and the
+    calibrated expected misclassification rate 0.5 - delta. Arrays over the
+    rows of a prediction matrix; a float and an int for one row."""
 
     delta: np.ndarray
     predicted_label: np.ndarray
@@ -275,8 +264,8 @@ def delta_scores(pred_matrix, grid: TauGrid) -> ConfidenceScores:
                             predicted_label=pos.astype(int))
 
 
-def delta_score(values, grid: TauGrid) -> ConfidenceReport:
+def delta_score(values, grid: TauGrid) -> ConfidenceScores:
     """Confidence score of one quantile vector; see delta_scores."""
     scores = delta_scores(np.asarray(values)[None, :], grid)
-    return ConfidenceReport(delta=float(scores.delta[0]),
+    return ConfidenceScores(delta=float(scores.delta[0]),
                             predicted_label=int(scores.predicted_label[0]))

@@ -15,8 +15,19 @@ from bqrnet import cli
 from bqrnet.cli import EXIT_RUNTIME, EXIT_VALIDATION, main
 
 
+SMOKE_BLOBS = Path(__file__).resolve().parent.parent / "data" / "smoke_blobs.csv"
+
+
 def run(args):
     return main([str(a) for a in args])
+
+
+def strict_json(path):
+    """The JSON file at ``path``, rejecting NaN and the infinities, which
+    RFC 8259 does not allow."""
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +216,21 @@ class TestEvaluate:
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["coverage"]) == 9
         assert all(0.0 <= c <= 1.0 for c in summary["coverage"])
+
+    def test_perfect_fit_has_null_r2(self, tmp_path):
+        # every row is classified right, so every non-empty bin misclassifies
+        # at rate 0 and the calibration fit is undefined
+        csv = ["--data", SMOKE_BLOBS, "--label-column", "label"]
+        assert run(["train", *csv, "--trunk", "8,8", "--epochs", "200",
+                    "--batch-size", "32", "--out", tmp_path / "run"]) == 0
+        out = tmp_path / "eval"
+        assert run(["evaluate", *csv, "--checkpoint",
+                    tmp_path / "run" / "checkpoint.npz", "--out", out]) == 0
+        summary = strict_json(out / "summary.json")
+        assert summary["accuracy"] == 1.0 and summary["delta_r2"] is None
+        m_r = (out / "delta_report.csv").read_text().splitlines()[1]
+        assert m_r.endswith(",NA")
+        strict_json(tmp_path / "run" / "train_summary.json")
 
     def test_csv_without_latent_skips_coverage(self, trained, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -431,6 +457,37 @@ class TestFlags:
                 ["evaluate", "--config", str(config)]))
             features = cli._load_dataset(cfg).features
             assert (features.max() == 190.0) == (scale == "false")
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", "null"), ("epochs", "2.7"), ("epochs", "true"),
+        ("trunk", "[4, null]"), ("n", "[100]"), ("seed", '"3"'),
+        ("threshold", "true"), ("scale", '"false"')])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key,
+                                                 value):
+        # each of these ended in a traceback, or was read as another value
+        source = ({"data": SMOKE_BLOBS, "label_column": "label"}
+                  if key == "scale" else {"dataset_id": "D1", "n": 100})
+        settings = {**source, "epochs": 1, "trunk": "[4]", key: value}
+        config = tmp_path / "cfg.yaml"
+        config.write_text("".join(f"{k}: {v}\n" for k, v in settings.items()))
+        out = tmp_path / "run"
+        assert run(["train", "--config", config, "--out", out]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+        assert not out.exists()
+
+    def test_config_values_of_each_accepted_type(self, tmp_path):
+        # an int for a float, a number for lr and threshold, a single value
+        # or text for a list
+        config = tmp_path / "cfg.yaml"
+        config.write_text("dataset_id: D1\nn: 100\nepochs: 2\nlam: 1\n"
+                          "lr: 0.05\nthreshold: 0.1\ntrunk: 4\n"
+                          "grid: 0.25,0.5,0.75\nloss: bqr\n")
+        out = tmp_path / "run"
+        assert run(["train", "--config", config, "--out", out]) == 0
+        summary = strict_json(out / "train_summary.json")
+        assert summary["param_count"] == 4 * 2 + 3 * 4 + 3
+        assert len((out / "trace.csv").read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("value,expected", [
         (None, [1.0]), ("0.25,0.5", [0.25, 0.5]), ([1, 2], [1.0, 2.0]),

@@ -1,15 +1,19 @@
 """Coverage against an analytic-quantile oracle, confidence-bin reports,
-rank AUC against brute-force pairwise counting, and accuracy."""
+pair-count AUC against brute-force pairwise counting, and accuracy."""
+
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bqrnet.datasets import gen_dataset, normalize_for_coverage, threshold_labels
 from bqrnet.metrics import (CoverageTable, accuracy, coverage, delta_report,
                             r_squared, roc_auc, roc_auc_at_delta, summary_json)
 from bqrnet.network import TauGrid
-from bqrnet.metrics import _average_ranks
 from bqrnet.smoothing import ConfidenceScores
 
 GRID = TauGrid.default()
@@ -85,6 +89,10 @@ class TestRSquared:
     def test_can_be_negative(self):
         assert r_squared([1.0, 2.0, 3.0], [10.0, -5.0, 30.0]) < 0
 
+    def test_constant_observed_is_undefined(self):
+        assert r_squared([0.0, 0.0], [0.45, 0.2]) is None
+        assert r_squared([0.1, 0.1], [0.1, 0.1]) is None
+
 
 class TestDeltaReport:
     def _reports(self, deltas, labels_pred):
@@ -129,6 +137,15 @@ class TestDeltaReport:
         reps = self._reports(deltas, pred)
         rep = delta_report(reps, np.array(labels))
         assert rep.r2 is not None and rep.r2 > 0.8
+
+    def test_equal_bin_rates_give_no_r2(self, tmp_path):
+        # both rows right, so both non-empty bins misclassify at rate 0
+        labels = np.array([1, 0])
+        rep = delta_report(self._reports([0.05, 0.3], labels), labels)
+        assert rep.r2 is None
+        rep.to_csv(tmp_path / "delta.csv")
+        assert tmp_path.joinpath("delta.csv").read_text().splitlines()[1] \
+            .endswith(",NA")
 
     def test_csv_marks_missing(self, tmp_path):
         labels = np.array([1, 0])
@@ -180,13 +197,32 @@ class TestRocAuc:
                              ConfidenceScores(np.array([0.1]),
                                               np.array([0])), 0.7)
 
-    def test_average_ranks_match_rankdata(self):
-        rng = np.random.default_rng(5)
-        for scores in (rng.integers(0, 6, 500).astype(float),
-                       rng.normal(size=500), np.zeros(7),
-                       np.array([0.3, np.nan, 0.1])):
-            assert np.array_equal(_average_ranks(scores),
-                                  stats.rankdata(scores), equal_nan=True)
+
+scores_with_ties = st.one_of(st.integers(-3, 3).map(float),
+                             st.floats(-1e6, 1e6))
+
+
+class TestRocAucProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(scores_with_ties, st.booleans()),
+                    min_size=2, max_size=60))
+    def test_equals_pair_count(self, rows):
+        scores = np.array([s for s, _ in rows])
+        labels = np.array([int(b) for _, b in rows])
+        assume(0 < labels.sum() < labels.size)
+        assert roc_auc(scores, labels) == brute_force_auc(scores, labels)
+
+    @given(st.lists(scores_with_ties, min_size=1, max_size=20),
+           st.sampled_from([0, 1]))
+    def test_one_class_is_none(self, scores, label):
+        assert roc_auc(scores, [label] * len(scores)) is None
+
+    @given(st.lists(scores_with_ties, min_size=2, max_size=20),
+           st.data())
+    def test_nan_score_is_nan(self, scores, data):
+        labels = [1] + [0] * (len(scores) - 1)
+        scores[data.draw(st.integers(0, len(scores) - 1))] = float("nan")
+        assert math.isnan(roc_auc(scores, labels))
 
 
 class TestSummaryJson:
@@ -194,6 +230,13 @@ class TestSummaryJson:
         path = tmp_path / "s.json"
         summary_json(path, {"a": np.float64(1.5), "b": np.arange(3),
                             "c": {"d": np.int64(2)}})
-        import json
         data = json.loads(path.read_text())
         assert data == {"a": 1.5, "b": [0, 1, 2], "c": {"d": 2}}
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_and_nothing_written(self, tmp_path,
+                                                           value):
+        path = tmp_path / "s.json"
+        with pytest.raises(ValueError):
+            summary_json(path, {"r2": value})
+        assert not path.exists()

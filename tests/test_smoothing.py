@@ -3,6 +3,9 @@ intervals, and the confidence (delta) score."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
 from bqrnet.losses import DomainError
@@ -185,6 +188,36 @@ class TestDeltaScore:
             # label consistent with the median sign
             if vals[4] > 0:
                 assert rep.predicted_label == 1
+
+
+# knot values with ties and exact zeros; magnitudes stay far from underflow,
+# so positive scaling keeps every sign and every crossing
+knot_values = st.one_of(st.integers(-3, 3).map(float),
+                        st.floats(-100.0, 100.0).filter(lambda v: abs(v) > 1e-6))
+pred_matrices = hnp.arrays(float, st.tuples(st.integers(1, 12), st.just(9)),
+                           elements=knot_values)
+
+
+class TestDeltaProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(pred_matrices, st.floats(1e-3, 1e3))
+    def test_in_range_and_scale_invariant(self, preds, factor):
+        scores = delta_scores(preds, GRID)
+        assert np.all((scores.delta >= 0.0) & (scores.delta <= 0.5))
+        scaled = delta_scores(factor * preds, GRID)
+        assert np.allclose(scaled.delta, scores.delta, rtol=0.0, atol=1e-12)
+        assert np.array_equal(scaled.predicted_label, scores.predicted_label)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pred_matrices)
+    def test_row_score_is_that_row_of_the_batch(self, preds):
+        scores = delta_scores(preds, GRID)
+        for i, row in enumerate(preds):
+            one = delta_score(row, GRID)
+            assert isinstance(one, ConfidenceScores)
+            assert type(one.delta) is float and type(one.predicted_label) is int
+            assert one.delta == scores.delta[i]
+            assert one.predicted_label == scores.predicted_label[i]
 
 
 def _rowwise_delta(values, taus, mid):
