@@ -93,9 +93,9 @@ def _list(cfg: dict, key: str, kind, default) -> list:
     return [kind(v) if isinstance(v, str) else _typed(key, v, kind) for v in val]
 
 
-def _load_dataset(cfg: dict, default_n: int = 7000) -> datasets.LabeledDataset:
+def _load_dataset(cfg: dict, default_n: int = 7000, scale: bool = True):
     """The simulated dataset (labelled at its threshold, 'median' unless
-    given) or the CSV file the config names."""
+    given) or the CSV file the config names, scaled if ``scale`` is set."""
     if _get(cfg, "dataset_id", str):
         ds = datasets.gen_dataset(cfg["dataset_id"], _get(cfg, "n", int, default_n),
                                   _get(cfg, "seed", int, 0))
@@ -104,7 +104,7 @@ def _load_dataset(cfg: dict, default_n: int = 7000) -> datasets.LabeledDataset:
     if _get(cfg, "data", str):
         return datasets.load_csv(
             cfg["data"], label_column=_require(cfg, "label_column"),
-            scale=_get(cfg, "scale", bool, True),
+            scale=scale,
             threshold=_get(cfg, "threshold", (str, float)),
             latent_column=_get(cfg, "latent_column", str))
     raise ValidationError("no dataset given: pass --id or --data")
@@ -129,6 +129,8 @@ def _fit_setup(cfg: dict, trunk_default: list):
     """The dataset, and ``fresh(loss)``: a network at its initial weights and the
     loss spec to train it with (the BCE baseline takes only the grid (0.5,))."""
     ds = _load_dataset(cfg)
+    if ds.labels.min() == ds.labels.max():
+        raise ValidationError(f"the labels of {ds.name} hold a single class")
     grid = network.TauGrid(_list(cfg, "grid", float, network.DEFAULT_GRID))
     trunk = _list(cfg, "trunk", int, trunk_default)
 
@@ -142,8 +144,8 @@ def _fit_setup(cfg: dict, trunk_default: list):
 
 
 def _score_setup(cfg: dict):
-    """The dataset, the checkpoint's grid and its predictions on the data."""
-    ds = _load_dataset(cfg)
+    """The raw dataset, the checkpoint's grid and its predictions on it."""
+    ds = _load_dataset(cfg, scale=False)
     net = network.load_checkpoint(_require(cfg, "checkpoint"))
     return ds, net.grid, network.forward(net, ds.features)
 
@@ -180,6 +182,8 @@ def cmd_train(cfg: dict):
         exc.trace.to_csv(out / "trace.csv")
         raise training.TrainingDiverged(f"{exc} (partial trace written)",
                                         exc.trace) from exc
+    if ds.scale_params is not None:
+        net = datasets.fold_scaling(net, *ds.scale_params)
     network.save_checkpoint(net, out / "checkpoint.npz")
     trace.to_csv(out / "trace.csv")
     last = trace.records[-1] if trace.records else None
@@ -309,10 +313,9 @@ OPTIONS = (
     ("--pi-level", dict(type=float), ("smooth",)),
 )
 
-# the keys a config file may set: every option's dest, and the CSV scaling
-# switch, which has no flag
+# the keys a config file may set: every option's dest
 CONFIG_KEYS = {kw.get("dest", flag[2:].replace("-", "_"))
-               for flag, kw, _ in OPTIONS} | {"scale"}
+               for flag, kw, _ in OPTIONS}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .network import ShapeError, TauGrid
+from .network import QuantileNet, ShapeError, TauGrid
 
 
 class DatasetError(ValueError):
@@ -28,8 +28,8 @@ class ParseError(ValueError):
 
 @dataclasses.dataclass
 class LabeledDataset:
-    """Features in [-1, 1]^d plus binary labels; simulated data also carries
-    the true latent response and the threshold used to binarize it."""
+    """Features plus binary labels; simulated data also carries the true
+    latent response and the threshold used to binarize it."""
 
     features: np.ndarray
     labels: Optional[np.ndarray] = None
@@ -37,7 +37,7 @@ class LabeledDataset:
     threshold: Optional[float] = None
     name: str = ""
     column_names: Optional[list] = None
-    scale_params: Optional[tuple] = None  # (col_min, col_max) from ingestion
+    scale_params: Optional[tuple] = None  # (col_min, col_max) if scaled
 
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
@@ -121,15 +121,17 @@ def threshold_labels(ds: LabeledDataset, mu: float) -> LabeledDataset:
 
 def resolve_threshold(spec: Union[float, str], response) -> float:
     """A binarization threshold given as a number, 'median', or
-    'p<percentile>' of the response (e.g. 'p80')."""
-    if isinstance(spec, (int, float)):
-        return float(spec)
+    'p<percentile>' of the response (e.g. 'p80'); it must be finite."""
     text = str(spec).strip().lower()
     if text == "median":
-        return float(np.median(response))
-    if text.startswith("p"):
-        return float(np.percentile(response, float(text[1:])))
-    return float(text)
+        mu = float(np.median(response))
+    elif text.startswith("p"):
+        mu = float(np.percentile(response, float(text[1:])))
+    else:
+        mu = float(spec if isinstance(spec, (int, float)) else text)
+    if not np.isfinite(mu):
+        raise DatasetError(f"threshold must be finite, not {mu}")
+    return mu
 
 
 def flip_labels(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
@@ -172,9 +174,9 @@ def load_csv(path, label_column: str, scale: bool = True,
     case it is treated as a real response and thresholded (<= threshold is
     class 0); the threshold may be any spec ``resolve_threshold`` accepts,
     taken over that response. Feature columns are affinely scaled
-    per-column into [-1, 1] when ``scale`` is set; the scaling parameters
-    are kept on the dataset so held-out data can reuse them. A NaN or
-    infinite cell is a ParseError naming its row.
+    per-column into [-1, 1] when ``scale`` is set, keeping (lo, hi) on the
+    dataset for ``fold_scaling``. A NaN or infinite cell is a ParseError
+    naming its row.
     """
     with open(path, newline="") as fh:
         table = list(csv.reader(fh))
@@ -189,47 +191,38 @@ def load_csv(path, label_column: str, scale: bool = True,
     latent_idx = header.index(latent_column) if latent_column else None
     feat_idx = [i for i in range(len(header))
                 if i != label_idx and i != latent_idx]
-    rows, raw_labels, latents = [], [], []
+    values = []
     for rownum, row in enumerate(table[1:], start=2):
         if len(row) != len(header):
             raise ParseError(f"row {rownum}: expected {len(header)} fields, "
                              f"got {len(row)}", row=rownum)
         try:
-            vals = [float(row[i]) for i in feat_idx]
-            raw_labels.append(float(row[label_idx]))
-            if latent_idx is not None:
-                latents.append(float(row[latent_idx]))
+            values.append([float(v) for v in row])
         except ValueError:
             raise ParseError(f"row {rownum}: non-numeric field", row=rownum)
-        rows.append(vals)
-    if not rows:
+    if not values:
         raise ParseError("no data rows")
-    features = np.asarray(rows)
-    raw_labels = np.asarray(raw_labels)
-    finite = np.isfinite(features).all(axis=1) & np.isfinite(raw_labels)
-    if latents:
-        finite &= np.isfinite(latents)
+    values = np.asarray(values)
+    finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         rownum = int(np.argmin(finite)) + 2
         raise ParseError(f"row {rownum}: non-finite value", row=rownum)
+    features, raw_labels = values[:, feat_idx], values[:, label_idx]
     if threshold is not None:
         threshold = resolve_threshold(threshold, raw_labels)
         labels = (raw_labels > threshold).astype(int)
     else:
-        uniq = np.unique(raw_labels)
-        if not np.all(np.isin(uniq, (0.0, 1.0))):
+        if not np.isin(raw_labels, (0.0, 1.0)).all():
             raise ParseError("label column is not binary; pass a threshold "
                              "to binarize a real-valued response")
         labels = raw_labels.astype(int)
     scale_params = None
     if scale:
-        lo = features.min(axis=0)
-        hi = features.max(axis=0)
-        features = scale_features(features, lo, hi)
-        scale_params = (lo, hi)
+        scale_params = (features.min(axis=0), features.max(axis=0))
+        features = scale_features(features, *scale_params)
     return LabeledDataset(
         features=features, labels=labels,
-        latent=np.asarray(latents) if latents else None,
+        latent=None if latent_idx is None else values[:, latent_idx],
         threshold=threshold, name=str(path),
         column_names=[header[i] for i in feat_idx],
         scale_params=scale_params)
@@ -242,6 +235,19 @@ def scale_features(features, lo, hi):
     safe = np.where(span == 0.0, 1.0, span)
     scaled = 2.0 * (features - lo) / safe - 1.0
     return np.where(span == 0.0, 0.0, scaled)
+
+
+def fold_scaling(net: QuantileNet, lo, hi) -> QuantileNet:
+    """A copy of ``net`` that takes raw features: its first layer applies
+    ``scale_features(x, lo, hi)`` first, as W' = W diag(s) and
+    b' = b - W (s lo + 1) with s = 2 / (hi - lo); a constant column gets
+    s = 0 and no shift, because ``scale_features`` sends it to 0."""
+    span = np.asarray(hi, dtype=float) - lo
+    s = np.divide(2.0, span, out=np.zeros_like(span), where=span != 0.0)
+    out = net.copy()
+    out.trunk_b[0] -= out.trunk_w[0] @ np.where(span == 0.0, 0.0, s * lo + 1.0)
+    out.trunk_w[0] *= s
+    return out
 
 
 def write_csv(ds: LabeledDataset, path) -> None:

@@ -21,7 +21,9 @@ import numpy as np
 
 DEFAULT_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
-CHECKPOINT_VERSION = "bqrnet-ckpt-1"
+# Version 2 takes raw features (CSV scaling is folded into the first layer);
+# a version 1 file may expect scaled features, so it is not read.
+CHECKPOINT_VERSION = "bqrnet-ckpt-2"
 
 # Rows per trunk pass in ``forward``. Hidden activations are held for one
 # block at a time (1024 x 64 float64 is 512 KiB), not for the whole batch.
@@ -300,5 +302,5 @@ def load_checkpoint(path) -> QuantileNet:
             zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: not a bqrnet checkpoint ({exc})") from exc
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {version!r}")
+        raise ValueError(f"unsupported checkpoint version: {version!r}; retrain")
     return QuantileNet(dim, widths, grid, params)

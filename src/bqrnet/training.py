@@ -123,6 +123,8 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
     x = check_inputs(net, x)
+    if spec.grid != net.grid:
+        raise ShapeError("the loss grid differs from the network's grid")
     col = net.grid.median_index
     net = net.copy()
     trace = TrainTrace(records=[])

@@ -148,15 +148,27 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("flag, value", [
-        ("--lr", "nan"), ("--lr", "inf"), ("--lam", "nan"), ("--lam", "inf")])
+        ("--lr", "nan"), ("--lr", "inf"), ("--lam", "nan"), ("--lam", "inf"),
+        ("--threshold", "nan"), ("--threshold", "inf")])
     def test_non_finite_setting_rejected(self, tmp_path, capsys, flag, value):
-        # a validation error before the first epoch, not a divergence after it
+        # a validation error before the first epoch, not a divergence after
+        # it; a NaN threshold used to label every row 0 and train on that
         out = tmp_path / "run"
         rc = run(["train", "--id", "D1", "--n", "100", "--epochs", "1",
                   flag, value, "--out", out])
         assert rc == EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "noise-sweep", "lalr-bench"])
+    def test_single_class_labels_rejected(self, tmp_path, capsys, command):
+        # a threshold beyond the response range leaves one class to fit
+        out = tmp_path / "run"
+        rc = run([command, "--id", "D1", "--n", "200", "--threshold", "100",
+                  "--trunk", "4", "--epochs", "2", "--out", out])
+        assert rc == EXIT_VALIDATION
+        assert "single class" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_exit_code(self, tmp_path, capsys):
@@ -200,6 +212,30 @@ class TestEvaluate:
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "other.npz" in err
+
+    def test_version_1_checkpoint_rejected(self, trained, tmp_path, capsys):
+        # a version 1 file cannot say whether it expects scaled features
+        with np.load(trained / "checkpoint.npz") as ckpt:
+            arrays = dict(ckpt)
+        meta = {**json.loads(arrays["meta"].tobytes()),
+                "version": "bqrnet-ckpt-1"}
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        path = tmp_path / "v1.npz"
+        np.savez(path, **arrays)
+        out = tmp_path / "eval"
+        rc = run(["evaluate", "--id", "D3", "--n", "20", "--seed", "1",
+                  "--checkpoint", path, "--out", out])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "unsupported checkpoint version: 'bqrnet-ckpt-1'" in err
+        assert not out.exists()
+
+    def test_single_class_data_scored(self, trained, tmp_path):
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--id", "D3", "--n", "50", "--seed", "1",
+                    "--threshold", "100", "--checkpoint",
+                    trained / "checkpoint.npz", "--out", out]) == 0
+        assert strict_json(out / "summary.json")["auc"] is None
 
     def test_csv_with_latent_column(self, trained, tmp_path, capsys):
         # a simulate file carries no threshold; coverage needs only the latent
@@ -352,6 +388,30 @@ class TestSmooth:
         assert rc == EXIT_VALIDATION
         assert "level" in capsys.readouterr().err
 
+    def test_row_does_not_depend_on_the_rest_of_its_file(self, tmp_path):
+        # a checkpoint trained on a CSV takes raw features, so scoring the
+        # x > 0 rows alone gives them the quantiles they get in the full file
+        full, part = tmp_path / "d1.csv", tmp_path / "d1_pos.csv"
+        assert run(["simulate", "--id", "D1", "--n", "400", "--seed", "7",
+                    "--out", full]) == 0
+        header, *lines = full.read_text().splitlines()
+        positive = [float(line.split(",")[0]) > 0 for line in lines]
+        part.write_text("\n".join([header] + [line for line, pos in
+                                              zip(lines, positive) if pos]) + "\n")
+        columns = ["--label-column", "label", "--latent-column", "latent"]
+        ckpt = tmp_path / "run" / "checkpoint.npz"
+        assert run(["train", "--data", full, *columns, "--trunk", "8,8",
+                    "--epochs", "2", "--out", tmp_path / "run"]) == 0
+        quantiles = {}
+        for data in (full, part):
+            out = tmp_path / data.stem
+            assert run(["smooth", "--data", data, *columns,
+                        "--checkpoint", ckpt, "--out", out]) == 0
+            quantiles[data] = np.loadtxt(out / "smooth.csv", delimiter=",",
+                                         skiprows=1, usecols=range(9))
+        assert np.array_equal(quantiles[full][positive], quantiles[part])
+        assert 0 < len(quantiles[part]) < len(quantiles[full])
+
     def test_reproducible(self, trained, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -428,7 +488,8 @@ class TestFlags:
          "batch-size"),
         ("simulate", "id: D1\n", "id"),
         ("smooth", "bandwith: 0.3\n", "bandwith"),
-    ], ids=["flag-spelling", "flag-name", "misspelt"])
+        ("evaluate", "scale: false\n", "scale"),
+    ], ids=["flag-spelling", "flag-name", "misspelt", "scale"])
     def test_unknown_config_key_rejected(self, tmp_path, capsys, command,
                                          text, key):
         config = tmp_path / "cfg.yaml"
@@ -443,31 +504,17 @@ class TestFlags:
     def test_config_keys_are_the_option_dests(self):
         dests = {a.dest for sp in self.subparsers().values()
                  for a in sp._actions if a.dest != "help"}
-        assert cli.CONFIG_KEYS == dests | {"scale"}
-
-    def test_scale_config_key(self, tmp_path):
-        data = tmp_path / "d.csv"
-        data.write_text("x0,label\n" + "".join(
-            f"{10 * i},{i % 2}\n" for i in range(20)))
-        config = tmp_path / "cfg.yaml"
-        for scale in ("true", "false"):
-            config.write_text(f"data: {data}\nlabel_column: label\n"
-                              f"scale: {scale}\n")
-            cfg = cli._resolve(cli.build_parser().parse_args(
-                ["evaluate", "--config", str(config)]))
-            features = cli._load_dataset(cfg).features
-            assert (features.max() == 190.0) == (scale == "false")
+        assert cli.CONFIG_KEYS == dests
 
     @pytest.mark.parametrize("key, value", [
         ("epochs", "null"), ("epochs", "2.7"), ("epochs", "true"),
         ("trunk", "[4, null]"), ("n", "[100]"), ("seed", '"3"'),
-        ("threshold", "true"), ("scale", '"false"')])
+        ("threshold", "true")])
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key,
                                                  value):
         # each of these ended in a traceback, or was read as another value
-        source = ({"data": SMOKE_BLOBS, "label_column": "label"}
-                  if key == "scale" else {"dataset_id": "D1", "n": 100})
-        settings = {**source, "epochs": 1, "trunk": "[4]", key: value}
+        settings = {"dataset_id": "D1", "n": 100, "epochs": 1, "trunk": "[4]",
+                    key: value}
         config = tmp_path / "cfg.yaml"
         config.write_text("".join(f"{k}: {v}\n" for k, v in settings.items()))
         out = tmp_path / "run"

@@ -4,6 +4,8 @@ hinge, Lipschitz and curvature constants, and full-network backward."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from bqrnet.losses import (BCE, BQR, DomainError, LossSpec, _bqr_terms,
@@ -120,6 +122,22 @@ class TestBqrGrad:
         fd = (bqr_loss(1, 0.5 + eps, 0.5)
               - bqr_loss(1, 0.5 - eps, 0.5)) / (2 * eps)
         assert grad_z(1, 0.5, 0.5) == pytest.approx(fd, abs=1e-8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-60.0, 60.0).filter(lambda z: abs(z) > 1e-3),
+           st.floats(0.01, 0.99), st.sampled_from([0.0, 1.0]))
+    def test_kernel_gradient_matches_central_differences(self, z, tau, y):
+        # away from the kink at z = 0, over the range the acceptance suite
+        # checks the Lipschitz bound on
+        spec = LossSpec(TauGrid((tau,)), lam=0.0)
+
+        def kernel(v):
+            loss, grad = _loss_and_grad(np.array([y]), np.array([[v]]), spec)
+            return loss[0], grad[0, 0]
+
+        eps = 1e-6
+        fd = (kernel(z + eps)[0] - kernel(z - eps)[0]) / (2 * eps)
+        assert kernel(z)[1] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_bounded_by_max_tau(self):
         rng = np.random.default_rng(2)

@@ -412,7 +412,7 @@ class TestCheckpoint:
     def test_not_a_checkpoint(self, tmp_path, kind):
         path = tmp_path / "other.npz"
         meta = {"list_meta": b"[1]",
-                "no_dim": b'{"version": "bqrnet-ckpt-1"}'}.get(kind)
+                "no_dim": b'{"version": "bqrnet-ckpt-2"}'}.get(kind)
         if meta is not None:
             np.savez(path, meta=np.frombuffer(meta, dtype=np.uint8),
                      grid=np.array([0.5]), params=np.zeros(7))

@@ -11,10 +11,11 @@ from scipy import integrate, stats
 from bqrnet.losses import DomainError
 from bqrnet.network import TauGrid
 from bqrnet.smoothing import (ConfidenceScores, OutOfGridError,
-                              SmoothedQuantileFn, conditional_mean,
-                              conditional_moments, conditional_stat,
-                              delta_score, delta_scores, prediction_interval,
-                              prediction_intervals, smooth)
+                              SmoothedQuantileFn, _moment_operator,
+                              conditional_mean, conditional_moments,
+                              conditional_stat, delta_score, delta_scores,
+                              prediction_interval, prediction_intervals,
+                              smooth)
 
 GRID = TauGrid.default()
 
@@ -47,6 +48,20 @@ class TestSmoothedQuantileFn:
         sq = smooth(np.arange(9.0), GRID, h=0.07)
         taus = np.linspace(0.001, 0.999, 211)
         assert np.allclose(sq.weights(taus).sum(axis=1), 1.0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=1, max_size=15,
+                    unique=True),
+           st.floats(1e-3, 10.0),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_weights_sum_to_one(self, levels, h, taus):
+        # at any level in [0, 1], and at the quadrature nodes of the moments
+        grid = TauGrid(tuple(sorted(levels)))
+        w = smooth(np.zeros(len(grid)), grid, h).weights(taus)
+        nodes, _, _ = _moment_operator(grid.levels, h)
+        for weights in (w, nodes):
+            assert np.all(weights >= 0.0)
+            assert np.allclose(weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_strictly_increasing_values_give_increasing_function(self):
         sq = smooth(np.linspace(-2, 2, 9), GRID)

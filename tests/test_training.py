@@ -303,6 +303,17 @@ class TestTrain:
             train(net, x, y, LossSpec(grid=grid),
                   TrainConfig(epochs=epochs, batch_size=8))
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_loss_grid_must_be_the_net_grid(self, epochs):
+        # as wide as the net's grid, so only a comparison of the levels
+        # stops the heads from training against the wrong ones
+        net = init_net(1, [8], TauGrid.default(), seed=0)
+        other = TauGrid((0.05, 0.15, 0.25, 0.35, 0.5, 0.65, 0.75, 0.85, 0.95))
+        x, y = two_blob_data(40)
+        with pytest.raises(ShapeError, match="grid"):
+            train(net, x, y, LossSpec(grid=other),
+                  TrainConfig(epochs=epochs, batch_size=8))
+
     def test_accuracy_is_median_sign_on_training_set(self):
         x, y = two_blob_data(60)
         net = init_net(1, [8], TauGrid.default(), seed=4)
