@@ -10,6 +10,7 @@ configuration in its outputs. Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -93,18 +94,21 @@ def _list(cfg: dict, key: str, kind, default) -> list:
     return [kind(v) if isinstance(v, str) else _typed(key, v, kind) for v in val]
 
 
-def _load_dataset(cfg: dict, default_n: int = 7000, scale: bool = True):
+def _load_dataset(cfg: dict, default_n: int = 7000):
     """The simulated dataset (labelled at its threshold, 'median' unless
-    given) or the CSV file the config names, scaled if ``scale`` is set."""
-    if _get(cfg, "dataset_id", str):
-        ds = datasets.gen_dataset(cfg["dataset_id"], _get(cfg, "n", int, default_n),
+    given) or the CSV file the config names, with its features as read."""
+    dataset_id, data = _get(cfg, "dataset_id", str), _get(cfg, "data", str)
+    if dataset_id and data:
+        raise ValidationError("both dataset_id (--id) and data (--data) are set; "
+                              "give one")
+    if dataset_id:
+        ds = datasets.gen_dataset(dataset_id, _get(cfg, "n", int, default_n),
                                   _get(cfg, "seed", int, 0))
         return datasets.threshold_labels(ds, datasets.resolve_threshold(
             _get(cfg, "threshold", (str, float), "median"), ds.latent))
-    if _get(cfg, "data", str):
+    if data:
         return datasets.load_csv(
-            cfg["data"], label_column=_require(cfg, "label_column"),
-            scale=scale,
+            data, label_column=_require(cfg, "label_column"),
             threshold=_get(cfg, "threshold", (str, float)),
             latent_column=_get(cfg, "latent_column", str))
     raise ValidationError("no dataset given: pass --id or --data")
@@ -126,11 +130,15 @@ def _train_config(cfg: dict) -> training.TrainConfig:
 
 
 def _fit_setup(cfg: dict, trunk_default: list):
-    """The dataset, and ``fresh(loss)``: a network at its initial weights and the
-    loss spec to train it with (the BCE baseline takes only the grid (0.5,))."""
+    """The dataset with each feature column scaled into [-1, 1] by its own
+    min and max; ``fresh(loss)``: a network at its initial weights and the
+    loss spec to train it with (the BCE baseline takes only the grid (0.5,));
+    and ``fold(net)``: a copy of a trained net that takes raw features."""
     ds = _load_dataset(cfg)
     if ds.labels.min() == ds.labels.max():
         raise ValidationError(f"the labels of {ds.name} hold a single class")
+    lo, hi = ds.features.min(axis=0), ds.features.max(axis=0)
+    ds = dataclasses.replace(ds, features=datasets.scale_features(ds.features, lo, hi))
     grid = network.TauGrid(_list(cfg, "grid", float, network.DEFAULT_GRID))
     trunk = _list(cfg, "trunk", int, trunk_default)
 
@@ -140,12 +148,12 @@ def _fit_setup(cfg: dict, trunk_default: list):
         seed = _get(cfg, "seed", int, 0)
         return network.init_net(ds.dim, trunk, levels, seed), spec
 
-    return ds, fresh
+    return ds, fresh, functools.partial(datasets.fold_scaling, lo=lo, hi=hi)
 
 
 def _score_setup(cfg: dict):
     """The raw dataset, the checkpoint's grid and its predictions on it."""
-    ds = _load_dataset(cfg, scale=False)
+    ds = _load_dataset(cfg)
     net = network.load_checkpoint(_require(cfg, "checkpoint"))
     return ds, net.grid, network.forward(net, ds.features)
 
@@ -165,14 +173,15 @@ def _summary(cfg: dict) -> dict:
 # it wrote, then any notes for that line's parentheses.
 def cmd_simulate(cfg: dict):
     _require(cfg, "dataset_id")
-    ds = _load_dataset(cfg, default_n=10000)
+    # simulate takes no --data; a config file's data key is another command's
+    ds = _load_dataset({**cfg, "data": None}, default_n=10000)
     out = Path(_get(cfg, "out", str, f"{ds.name}.csv"))
     datasets.write_csv(ds, out)
     return f"wrote {ds.n} rows to {out}", f"threshold={ds.threshold:.6g}"
 
 
 def cmd_train(cfg: dict):
-    ds, fresh = _fit_setup(cfg, [64, 64])
+    ds, fresh, fold = _fit_setup(cfg, [64, 64])
     net, spec = fresh()
     tcfg = _train_config(cfg)
     out = _outdir(cfg)
@@ -182,9 +191,7 @@ def cmd_train(cfg: dict):
         exc.trace.to_csv(out / "trace.csv")
         raise training.TrainingDiverged(f"{exc} (partial trace written)",
                                         exc.trace) from exc
-    if ds.scale_params is not None:
-        net = datasets.fold_scaling(net, *ds.scale_params)
-    network.save_checkpoint(net, out / "checkpoint.npz")
+    network.save_checkpoint(fold(net), out / "checkpoint.npz")
     trace.to_csv(out / "trace.csv")
     last = trace.records[-1] if trace.records else None
     metrics.summary_json(out / "train_summary.json", {
@@ -220,7 +227,7 @@ def cmd_noise_sweep(cfg: dict):
     for f in fractions:
         if not 0.0 <= f <= 0.5:
             raise ValidationError(f"flip fraction {f} outside [0, 0.5]")
-    ds, fresh = _fit_setup(cfg, [64, 64])
+    ds, fresh, _ = _fit_setup(cfg, [64, 64])
     tcfg = _train_config(cfg)
     rows = {"bce": [], "bqr": []}
     for frac in fractions:
@@ -242,7 +249,7 @@ def cmd_noise_sweep(cfg: dict):
 
 def cmd_lalr_bench(cfg: dict):
     target = _get(cfg, "target_acc", float, 0.97)
-    ds, fresh = _fit_setup(cfg, [32, 32])
+    ds, fresh, _ = _fit_setup(cfg, [32, 32])
     results = []
     for lr in (0.01, 0.1, training.LALR):
         net, spec = fresh()

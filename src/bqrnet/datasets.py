@@ -37,7 +37,6 @@ class LabeledDataset:
     threshold: Optional[float] = None
     name: str = ""
     column_names: Optional[list] = None
-    scale_params: Optional[tuple] = None  # (col_min, col_max) if scaled
 
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
@@ -165,7 +164,7 @@ def train_test_split(ds: LabeledDataset, test_fraction: float = 0.3,
     return subset(train_idx), subset(test_idx)
 
 
-def load_csv(path, label_column: str, scale: bool = True,
+def load_csv(path, label_column: str,
              threshold: Optional[Union[float, str]] = None,
              latent_column: Optional[str] = None) -> LabeledDataset:
     """Read a headered CSV into a dataset.
@@ -173,10 +172,9 @@ def load_csv(path, label_column: str, scale: bool = True,
     The label column must be binary unless ``threshold`` is given, in which
     case it is treated as a real response and thresholded (<= threshold is
     class 0); the threshold may be any spec ``resolve_threshold`` accepts,
-    taken over that response. Feature columns are affinely scaled
-    per-column into [-1, 1] when ``scale`` is set, keeping (lo, hi) on the
-    dataset for ``fold_scaling``. A NaN or infinite cell is a ParseError
-    naming its row.
+    taken over that response. Every other column except the latent one is
+    a feature, returned as read: fitting scales features, whatever their
+    source. A NaN or infinite cell is a ParseError naming its row.
     """
     with open(path, newline="") as fh:
         table = list(csv.reader(fh))
@@ -216,36 +214,36 @@ def load_csv(path, label_column: str, scale: bool = True,
             raise ParseError("label column is not binary; pass a threshold "
                              "to binarize a real-valued response")
         labels = raw_labels.astype(int)
-    scale_params = None
-    if scale:
-        scale_params = (features.min(axis=0), features.max(axis=0))
-        features = scale_features(features, *scale_params)
     return LabeledDataset(
         features=features, labels=labels,
         latent=None if latent_idx is None else values[:, latent_idx],
         threshold=threshold, name=str(path),
-        column_names=[header[i] for i in feat_idx],
-        scale_params=scale_params)
+        column_names=[header[i] for i in feat_idx])
+
+
+def _minmax_map(lo, hi):
+    """Per-column (s, shift) of the map x s + shift sending [lo, hi] to
+    [-1, 1]: s = 2 / (hi - lo) and shift = -(s lo + 1); a constant column
+    gets 0 for both, so it maps to 0."""
+    span = np.asarray(hi, dtype=float) - lo
+    s = np.divide(2.0, span, out=np.zeros_like(span), where=span != 0.0)
+    return s, np.where(span == 0.0, 0.0, -(s * lo + 1.0))
 
 
 def scale_features(features, lo, hi):
     """Affine per-column map sending [lo, hi] to [-1, 1]; constant columns
     map to 0."""
-    span = hi - lo
-    safe = np.where(span == 0.0, 1.0, span)
-    scaled = 2.0 * (features - lo) / safe - 1.0
-    return np.where(span == 0.0, 0.0, scaled)
+    s, shift = _minmax_map(lo, hi)
+    return features * s + shift
 
 
 def fold_scaling(net: QuantileNet, lo, hi) -> QuantileNet:
     """A copy of ``net`` that takes raw features: its first layer applies
     ``scale_features(x, lo, hi)`` first, as W' = W diag(s) and
-    b' = b - W (s lo + 1) with s = 2 / (hi - lo); a constant column gets
-    s = 0 and no shift, because ``scale_features`` sends it to 0."""
-    span = np.asarray(hi, dtype=float) - lo
-    s = np.divide(2.0, span, out=np.zeros_like(span), where=span != 0.0)
+    b' = b + W shift."""
+    s, shift = _minmax_map(lo, hi)
     out = net.copy()
-    out.trunk_b[0] -= out.trunk_w[0] @ np.where(span == 0.0, 0.0, s * lo + 1.0)
+    out.trunk_b[0] += out.trunk_w[0] @ shift
     out.trunk_w[0] *= s
     return out
 

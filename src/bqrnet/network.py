@@ -290,17 +290,16 @@ def save_checkpoint(net: QuantileNet, path) -> None:
 
 
 def load_checkpoint(path) -> QuantileNet:
-    """Read a ``save_checkpoint`` file; any other file is a ValueError
-    naming the path."""
+    """Read a ``save_checkpoint`` file; any other file, or one whose arrays
+    do not build a network, is a ValueError naming the path."""
     try:
         with np.load(path) as ckpt:
             meta = json.loads(bytes(ckpt["meta"].tobytes()).decode())
-            grid, params = TauGrid(tuple(ckpt["grid"])), ckpt["params"]
-        version, dim, widths = (meta[key] for key in
-                                ("version", "input_dim", "trunk_widths"))
-    except (KeyError, TypeError, ValueError, EOFError,
+            version = meta["version"]
+            if version == CHECKPOINT_VERSION:
+                return QuantileNet(meta["input_dim"], meta["trunk_widths"],
+                                   TauGrid(tuple(ckpt["grid"])), ckpt["params"])
+    except (KeyError, TypeError, ValueError, OverflowError, EOFError,
             zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: not a bqrnet checkpoint ({exc})") from exc
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {version!r}; retrain")
-    return QuantileNet(dim, widths, grid, params)
+    raise ValueError(f"unsupported checkpoint version: {version!r}; retrain")

@@ -42,10 +42,16 @@ def _knots(levels):
 
 
 def _kernel_weights(knots, bandwidth, tau):
-    """(len(tau), len(knots) - 1) normalized Gaussian-kernel weights."""
+    """(len(tau), len(knots) - 1) normalized Gaussian-kernel weights; a
+    DomainError when a row's weights sum to 0, as they do for a bandwidth
+    so wide that every knot's CDF rounds to the same value."""
     cdf = _norm_cdf((tau[:, None] - knots[None, :]) / bandwidth)
     w = cdf[:, :-1] - cdf[:, 1:]
-    return w / w.sum(axis=1, keepdims=True)
+    total = w.sum(axis=1, keepdims=True)
+    if not np.all(total > 0.0):
+        raise DomainError(f"bandwidth {bandwidth} leaves kernel weights that "
+                          "cannot be normalized")
+    return w / total
 
 
 def _simpson_weights():
@@ -116,8 +122,8 @@ class SmoothedQuantileFn:
 
 
 def _check_bandwidth(h):
-    if not h > 0:
-        raise DomainError("bandwidth must be positive")
+    if not 0 < h < math.inf:
+        raise DomainError(f"bandwidth must be positive and finite, not {h}")
 
 
 def _pred_matrix(pred_matrix, grid: TauGrid) -> np.ndarray:
@@ -138,13 +144,14 @@ def conditional_moments(pred_matrix, grid: TauGrid,
                         h: float = DEFAULT_BANDWIDTH):
     """Conditional mean and variance of every row's smoothed quantile
     function, integrated over (0, 1) by composite Simpson; two arrays of
-    length n."""
+    length n. The variance is clamped at 0, where rounding would leave a
+    constant row slightly negative."""
     preds = _pred_matrix(pred_matrix, grid)
     _check_bandwidth(h)
     _, w_mean, gram = _moment_operator(grid.levels, float(h))
     mean = preds @ w_mean
     second = np.einsum("ij,ij->i", preds @ gram, preds)
-    return mean, second - mean ** 2
+    return mean, np.maximum(second - mean ** 2, 0.0)
 
 
 def conditional_mean(sq: SmoothedQuantileFn) -> float:

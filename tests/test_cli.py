@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bqrnet import cli
+from bqrnet import cli, datasets, network
 from bqrnet.cli import EXIT_RUNTIME, EXIT_VALIDATION, main
 
 
@@ -20,6 +20,18 @@ SMOKE_BLOBS = Path(__file__).resolve().parent.parent / "data" / "smoke_blobs.csv
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def rewrite_checkpoint(src, dst, params=None, **meta):
+    """Copy the checkpoint ``src`` to ``dst`` with the given meta keys
+    replaced and, when given, another params array."""
+    with np.load(src) as ckpt:
+        arrays = dict(ckpt)
+    meta = {**json.loads(arrays["meta"].tobytes()), **meta}
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    if params is not None:
+        arrays["params"] = params
+    np.savez(dst, **arrays)
 
 
 def strict_json(path):
@@ -63,6 +75,13 @@ class TestSimulate:
             assert run(["simulate", "--id", "D2", "--n", "50", "--seed", "3",
                         "--out", out]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_config_data_key_left_to_other_commands(self, tmp_path):
+        config = tmp_path / "cfg.yaml"
+        config.write_text("dataset_id: D1\nn: 20\ndata: d1.csv\n")
+        out = tmp_path / "d1.csv"
+        assert run(["simulate", "--config", config, "--out", out]) == 0
+        assert len(out.read_text().splitlines()) == 21
 
     def test_percentile_threshold(self, tmp_path):
         out = tmp_path / "p80.csv"
@@ -116,6 +135,56 @@ class TestTrain:
 
     def test_missing_dataset(self, capsys):
         assert run(["train", "--epochs", "1"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("text, flags", [
+        ("dataset_id: D1\n", ["--data", SMOKE_BLOBS, "--label-column", "label"]),
+        ("data: d.csv\nlabel_column: label\n", ["--id", "D1"]),
+    ], ids=["config-id-flag-data", "config-data-flag-id"])
+    def test_dataset_id_and_data_rejected(self, tmp_path, capsys, text, flags):
+        # a config's dataset_id used to win over a --data flag
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text)
+        out = tmp_path / "run"
+        assert run(["train", "--config", config, *flags, "--trunk", "4",
+                    "--epochs", "1", "--out", out]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "dataset_id" in err and "data (--data)" in err
+        assert not out.exists()
+
+    def test_fit_setup_scales_each_column(self, tmp_path):
+        # every fit scales its features by their own min and max, and folds
+        # that map into the net, so the checkpoint takes them as read
+        data = tmp_path / "d.csv"
+        data.write_text("x,c,label\n0,3,0\n5,3,1\n10,3,1\n")
+        ds, fresh, fold = cli._fit_setup(
+            {"data": str(data), "label_column": "label"}, [4])
+        assert np.allclose(ds.features, [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        assert list(ds.labels) == [0, 1, 1]
+        net, _ = fresh()
+        raw = datasets.load_csv(data, label_column="label").features
+        assert np.allclose(network.forward(fold(net), raw),
+                           network.forward(net, ds.features), rtol=0.0,
+                           atol=1e-12)
+        simulated, _, _ = cli._fit_setup({"dataset_id": "D1", "n": 100}, [4])
+        assert simulated.features.min() == -1.0
+        assert simulated.features.max() == 1.0
+
+    def test_simulated_and_csv_sources_fit_alike(self, tmp_path):
+        # one D1 draw, given by id or as its simulate file, trains one model
+        data = tmp_path / "d1.csv"
+        assert run(["simulate", "--id", "D1", "--n", "400", "--seed", "7",
+                    "--out", data]) == 0
+        fit = ["--seed", "7", "--trunk", "8,8", "--epochs", "5"]
+        sources = {"id": ["--id", "D1", "--n", "400"],
+                   "csv": ["--data", data, "--label-column", "label",
+                           "--latent-column", "latent"]}
+        for name, source in sources.items():
+            assert run(["train", *source, *fit, "--out", tmp_path / name]) == 0
+        ckpt = [network.load_checkpoint(tmp_path / name / "checkpoint.npz")
+                for name in sources]
+        assert np.array_equal(ckpt[0].params, ckpt[1].params)
+        assert (tmp_path / "id" / "trace.csv").read_bytes() \
+            == (tmp_path / "csv" / "trace.csv").read_bytes()
 
     def test_percentile_threshold_on_csv_response(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -200,28 +269,33 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "absent.npz" in err
 
-    @pytest.mark.parametrize("kind", ["no_meta", "corrupt_zip"])
-    def test_bad_checkpoint_exit_code(self, tmp_path, capsys, kind):
+    # a current file whose meta or params do not build a network; each of
+    # these ended in a traceback or an error naming no file
+    MALFORMED = {"float_width": dict(trunk_widths=[16.0, 16.0]),
+                 "str_dim": dict(input_dim="1"),
+                 "wrong_length": dict(params=np.zeros(5))}
+
+    @pytest.mark.parametrize("kind", ["no_meta", "corrupt_zip", *MALFORMED])
+    def test_bad_checkpoint_exit_code(self, trained, tmp_path, capsys, kind):
         path = tmp_path / "other.npz"
         if kind == "no_meta":
             np.savez(path, params=np.zeros(3))
-        else:
+        elif kind == "corrupt_zip":
             path.write_bytes(b"PK\x03\x04" + bytes(60))
+        else:
+            rewrite_checkpoint(trained / "checkpoint.npz", path,
+                               **self.MALFORMED[kind])
         rc = run(["evaluate", "--id", "D1", "--n", "20", "--seed", "1",
                   "--checkpoint", path, "--out", tmp_path / "eval"])
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "other.npz" in err
+        assert err.startswith(f"error: {path}: not a bqrnet checkpoint (")
 
     def test_version_1_checkpoint_rejected(self, trained, tmp_path, capsys):
         # a version 1 file cannot say whether it expects scaled features
-        with np.load(trained / "checkpoint.npz") as ckpt:
-            arrays = dict(ckpt)
-        meta = {**json.loads(arrays["meta"].tobytes()),
-                "version": "bqrnet-ckpt-1"}
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         path = tmp_path / "v1.npz"
-        np.savez(path, **arrays)
+        rewrite_checkpoint(trained / "checkpoint.npz", path,
+                           version="bqrnet-ckpt-1")
         out = tmp_path / "eval"
         rc = run(["evaluate", "--id", "D3", "--n", "20", "--seed", "1",
                   "--checkpoint", path, "--out", out])
@@ -387,6 +461,19 @@ class TestSmooth:
                   "--pi-level", "1.5", "--out", tmp_path / "smooth"])
         assert rc == EXIT_VALIDATION
         assert "level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bandwidth", ["inf", "1e300"])
+    def test_bandwidth_whose_weights_cannot_be_normalized(self, trained,
+                                                         tmp_path, capsys,
+                                                         bandwidth):
+        # both wrote NaN mean and variance columns and exited 0
+        out = tmp_path / "smooth"
+        rc = run(["smooth", "--id", "D3", "--n", "20", "--seed", "9",
+                  "--checkpoint", trained / "checkpoint.npz",
+                  "--bandwidth", bandwidth, "--out", out])
+        assert rc == EXIT_VALIDATION
+        assert "bandwidth" in capsys.readouterr().err
+        assert not (out / "smooth.csv").exists()
 
     def test_row_does_not_depend_on_the_rest_of_its_file(self, tmp_path):
         # a checkpoint trained on a CSV takes raw features, so scoring the

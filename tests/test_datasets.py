@@ -144,16 +144,11 @@ def from_text(tmp_path):
 
 
 class TestCsv:
-    def test_scaling(self, from_text):
-        text = "x,label\n0,0\n5,1\n10,1\n"
+    def test_features_as_read(self, from_text):
+        text = "x,label\n0,0\n5,1\n10.25,1\n"
         ds = from_text(text, label_column="label")
-        assert np.allclose(ds.features[:, 0], [-1.0, 0.0, 1.0])
+        assert np.array_equal(ds.features[:, 0], [0.0, 5.0, 10.25])
         assert list(ds.labels) == [0, 1, 1]
-
-    def test_no_scaling(self, from_text):
-        text = "x,label\n0,0\n5,1\n10,1\n"
-        ds = from_text(text, label_column="label", scale=False)
-        assert np.allclose(ds.features[:, 0], [0.0, 5.0, 10.0])
 
     def test_threshold_binarizes_real_response(self, from_text):
         text = "x,resp\n0,1.5\n1,2.5\n2,3.5\n"
@@ -218,8 +213,7 @@ class TestCsv:
         ds = threshold_labels(gen_dataset("D3", 20, seed=8), 0.0)
         path = tmp_path / "d3.csv"
         write_csv(ds, path)
-        back = load_csv(path, label_column="label", scale=False,
-                        latent_column="latent")
+        back = load_csv(path, label_column="label", latent_column="latent")
         assert np.allclose(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
         assert np.allclose(back.latent, ds.latent)

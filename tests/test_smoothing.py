@@ -72,6 +72,14 @@ class TestSmoothedQuantileFn:
         with pytest.raises(DomainError):
             smooth(np.zeros(9), GRID, h=0.0)
 
+    @pytest.mark.parametrize("h", [np.inf, 1e300])
+    def test_bandwidth_whose_weights_cannot_be_normalized(self, h):
+        # every kernel row sums to 0 at 1e300; both gave NaN, not an error
+        with pytest.raises(DomainError, match="bandwidth"):
+            smooth(np.zeros(9), GRID, h)(0.5)
+        with pytest.raises(DomainError, match="bandwidth"):
+            conditional_moments(np.zeros((2, 9)), GRID, h)
+
     def test_values_align_with_grid(self):
         with pytest.raises(ValueError):
             smooth(np.zeros(5), GRID)
@@ -90,6 +98,17 @@ class TestConditionalMoments:
         sq = smooth(np.full(9, 4.0), GRID)
         assert conditional_stat(sq, "variance") == pytest.approx(0.0, abs=1e-9)
         assert conditional_stat(sq, "moment", k=2) == pytest.approx(16.0, abs=1e-7)
+
+    def test_constant_rows_have_no_negative_variance(self):
+        # rounding left 151 of these 200 rows, and the 4.0 row, below 0
+        c = np.random.default_rng(0).normal(0.0, 10.0, 200)
+        rows = np.repeat(c[:, None], 9, axis=1)
+        mean, var = conditional_moments(rows, GRID)
+        _, w_mean, _ = _moment_operator(GRID.levels, 0.1)
+        assert np.all(var >= 0.0)
+        assert np.array_equal(mean, rows @ w_mean)
+        assert np.allclose(mean, c, rtol=0.0, atol=1e-12)
+        assert conditional_stat(smooth(np.full(9, 4.0), GRID), "variance") >= 0.0
 
     def test_antisymmetric_values_mean_zero(self):
         vals = np.linspace(-3, 3, 9)
