@@ -25,10 +25,6 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 
-class ValidationError(ValueError):
-    pass
-
-
 def _config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -40,14 +36,14 @@ def _resolve(args: argparse.Namespace) -> dict:
     must be one of CONFIG_KEYS."""
     out = {}
     if args.config is not None:
-        with open(args.config) as fh:
+        with open(args.config, "rb") as fh:
             out = yaml.safe_load(fh) or {}
         if not isinstance(out, dict):
-            raise ValidationError("config file must contain a mapping")
+            raise ValueError("config file must contain a mapping")
         unknown = sorted(map(str, out.keys() - CONFIG_KEYS))
         if unknown:
-            raise ValidationError(f"unknown config key(s): {', '.join(unknown)} "
-                                  "(keys are the flags' dest names, e.g. batch_size)")
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)} "
+                             "(keys are the flags' dest names, e.g. batch_size)")
     out.update((key, val) for key, val in vars(args).items()
                if val is not None and key not in ("command", "fn", "config"))
     return out
@@ -55,14 +51,14 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _typed(key: str, val, kind):
     """``val`` when it is of type ``kind`` (or of one in a tuple of types),
-    else a ValidationError naming ``key``. A float may be given as an int;
+    else a ValueError naming ``key``. A float may be given as an int;
     true and false are bools only, not ints. A float comes back as a float."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
     kinds += (int,) if float in kinds else ()
     if isinstance(val, bool) != (bool in kinds) or not isinstance(val, kinds):
         names = " or ".join(k.__name__ for k in kinds)
-        raise ValidationError(f"{key} must be {names}, not "
-                              f"{json.dumps(val, default=str)}")
+        raise ValueError(f"{key} must be {names}, not "
+                         f"{json.dumps(val, default=str)}")
     return float(val) if kind is float else val
 
 
@@ -76,7 +72,7 @@ def _get(cfg: dict, key: str, kind, default=None):
 def _require(cfg: dict, key: str) -> str:
     val = _get(cfg, key, str)
     if val is None:
-        raise ValidationError(f"missing required option: {key}")
+        raise ValueError(f"missing required option: {key}")
     return val
 
 
@@ -99,8 +95,8 @@ def _load_dataset(cfg: dict, default_n: int = 7000):
     given) or the CSV file the config names, with its features as read."""
     dataset_id, data = _get(cfg, "dataset_id", str), _get(cfg, "data", str)
     if dataset_id and data:
-        raise ValidationError("both dataset_id (--id) and data (--data) are set; "
-                              "give one")
+        raise ValueError("both dataset_id (--id) and data (--data) are set; "
+                         "give one")
     if dataset_id:
         ds = datasets.gen_dataset(dataset_id, _get(cfg, "n", int, default_n),
                                   _get(cfg, "seed", int, 0))
@@ -111,7 +107,7 @@ def _load_dataset(cfg: dict, default_n: int = 7000):
             data, label_column=_require(cfg, "label_column"),
             threshold=_get(cfg, "threshold", (str, float)),
             latent_column=_get(cfg, "latent_column", str))
-    raise ValidationError("no dataset given: pass --id or --data")
+    raise ValueError("no dataset given: pass --id or --data")
 
 
 def _train_config(cfg: dict) -> training.TrainConfig:
@@ -121,7 +117,7 @@ def _train_config(cfg: dict) -> training.TrainConfig:
         try:
             eta = float(mode)
         except ValueError:
-            raise ValidationError(f"bad lr {mode!r}: use 'lalr' or a number")
+            raise ValueError(f"bad lr {mode!r}: use 'lalr' or a number")
         mode = training.FIXED
     return training.TrainConfig(
         epochs=_get(cfg, "epochs", int, 500),
@@ -136,7 +132,7 @@ def _fit_setup(cfg: dict, trunk_default: list):
     and ``fold(net)``: a copy of a trained net that takes raw features."""
     ds = _load_dataset(cfg)
     if ds.labels.min() == ds.labels.max():
-        raise ValidationError(f"the labels of {ds.name} hold a single class")
+        raise ValueError(f"the labels of {ds.name} hold a single class")
     lo, hi = ds.features.min(axis=0), ds.features.max(axis=0)
     ds = dataclasses.replace(ds, features=datasets.scale_features(ds.features, lo, hi))
     grid = network.TauGrid(_list(cfg, "grid", float, network.DEFAULT_GRID))
@@ -165,8 +161,7 @@ def _outdir(cfg: dict) -> Path:
 
 
 def _summary(cfg: dict) -> dict:
-    return {"config": {k: v for k, v in cfg.items() if k != "config"},
-            "config_hash": _config_hash(cfg)}
+    return {"config": cfg, "config_hash": _config_hash(cfg)}
 
 
 # Each command takes the resolved config and returns the line reporting what
@@ -224,15 +219,13 @@ def cmd_evaluate(cfg: dict):
 
 def cmd_noise_sweep(cfg: dict):
     fractions = _list(cfg, "fractions", float, [0.0, 0.1, 0.2, 0.3, 0.4])
-    for f in fractions:
-        if not 0.0 <= f <= 0.5:
-            raise ValidationError(f"flip fraction {f} outside [0, 0.5]")
+    seed = _get(cfg, "seed", int, 0) + 17
+    noises = [datasets.NoiseSpec(f, seed) for f in fractions]
     ds, fresh, _ = _fit_setup(cfg, [64, 64])
     tcfg = _train_config(cfg)
     rows = {"bce": [], "bqr": []}
-    for frac in fractions:
-        noise = datasets.NoiseSpec(frac, _get(cfg, "seed", int, 0) + 17)
-        noisy = datasets.flip_labels(ds, noise) if frac > 0 else ds
+    for noise in noises:
+        noisy = datasets.flip_labels(ds, noise) if noise.flip_fraction > 0 else ds
         for kind, accs in rows.items():
             net, spec = fresh(kind)
             net, _ = training.train(net, noisy.features, noisy.labels, spec, tcfg)
@@ -249,6 +242,8 @@ def cmd_noise_sweep(cfg: dict):
 
 def cmd_lalr_bench(cfg: dict):
     target = _get(cfg, "target_acc", float, 0.97)
+    if not 0.0 < target <= 1.0:
+        raise ValueError(f"target_acc must lie in (0, 1], not {target}")
     ds, fresh, _ = _fit_setup(cfg, [32, 32])
     results = []
     for lr in (0.01, 0.1, training.LALR):
@@ -320,9 +315,9 @@ OPTIONS = (
     ("--pi-level", dict(type=float), ("smooth",)),
 )
 
-# the keys a config file may set: every option's dest
+# the keys a config file may set: every option's dest but config's own
 CONFIG_KEYS = {kw.get("dest", flag[2:].replace("-", "_"))
-               for flag, kw, _ in OPTIONS}
+               for flag, kw, _ in OPTIONS if flag != "--config"}
 
 
 def build_parser() -> argparse.ArgumentParser:

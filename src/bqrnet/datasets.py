@@ -11,19 +11,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .network import QuantileNet, ShapeError, TauGrid
-
-
-class DatasetError(ValueError):
-    """Raised for unknown generators or malformed dataset operations."""
-
-
-class ParseError(ValueError):
-    """Raised for malformed CSV input; carries the offending row number."""
-
-    def __init__(self, message, row=None):
-        super().__init__(message)
-        self.row = row
+from .network import QuantileNet, TauGrid
 
 
 @dataclasses.dataclass
@@ -41,7 +29,7 @@ class LabeledDataset:
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
         if self.features.shape[0] < 1:
-            raise DatasetError("dataset must contain at least one row")
+            raise ValueError("dataset must contain at least one row")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
 
@@ -61,7 +49,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.flip_fraction <= 0.5:
-            raise DatasetError("flip fraction must lie in [0, 0.5]")
+            raise ValueError(f"flip fraction {self.flip_fraction} outside [0, 0.5]")
 
 
 def _d4_signal(x):
@@ -99,10 +87,10 @@ def gen_dataset(dataset_id: str, n: int, seed: int) -> LabeledDataset:
     """Draw x ~ U(-1, 1) and the latent response for one of the six
     simulated families. Labels are attached separately by thresholding."""
     if dataset_id not in GENERATORS:
-        raise DatasetError(
+        raise ValueError(
             f"unknown dataset id {dataset_id!r}; valid ids: {sorted(GENERATORS)}")
     if n < 1:
-        raise DatasetError("n must be positive")
+        raise ValueError("n must be positive")
     signal, noise = GENERATORS[dataset_id]
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, n)
@@ -113,7 +101,7 @@ def gen_dataset(dataset_id: str, n: int, seed: int) -> LabeledDataset:
 def threshold_labels(ds: LabeledDataset, mu: float) -> LabeledDataset:
     """Label 0 where latent <= mu, else 1; records the threshold."""
     if ds.latent is None:
-        raise DatasetError("thresholding requires the true latent response")
+        raise ValueError("thresholding requires the true latent response")
     labels = (ds.latent > mu).astype(int)
     return dataclasses.replace(ds, labels=labels, threshold=float(mu))
 
@@ -129,14 +117,14 @@ def resolve_threshold(spec: Union[float, str], response) -> float:
     else:
         mu = float(spec if isinstance(spec, (int, float)) else text)
     if not np.isfinite(mu):
-        raise DatasetError(f"threshold must be finite, not {mu}")
+        raise ValueError(f"threshold must be finite, not {mu}")
     return mu
 
 
 def flip_labels(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
     """Invert the labels of round(fraction * n) uniformly chosen rows."""
     if ds.labels is None:
-        raise DatasetError("flip_labels requires labels")
+        raise ValueError("flip_labels requires labels")
     n_flip = int(round(spec.flip_fraction * ds.n))
     rng = np.random.default_rng(spec.seed)
     idx = rng.choice(ds.n, size=n_flip, replace=False)
@@ -174,17 +162,17 @@ def load_csv(path, label_column: str,
     class 0); the threshold may be any spec ``resolve_threshold`` accepts,
     taken over that response. Every other column except the latent one is
     a feature, returned as read: fitting scales features, whatever their
-    source. A NaN or infinite cell is a ParseError naming its row.
+    source. A NaN or infinite cell is a ValueError naming its row.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         table = list(csv.reader(fh))
     if not table:
-        raise ParseError("empty file: missing header row")
+        raise ValueError("empty file: missing header row")
     header = [h.strip() for h in table[0]]
     if label_column not in header:
-        raise ParseError(f"label column {label_column!r} not found in header")
+        raise ValueError(f"label column {label_column!r} not found in header")
     if latent_column is not None and latent_column not in header:
-        raise ParseError(f"latent column {latent_column!r} not found in header")
+        raise ValueError(f"latent column {latent_column!r} not found in header")
     label_idx = header.index(label_column)
     latent_idx = header.index(latent_column) if latent_column else None
     feat_idx = [i for i in range(len(header))
@@ -192,26 +180,26 @@ def load_csv(path, label_column: str,
     values = []
     for rownum, row in enumerate(table[1:], start=2):
         if len(row) != len(header):
-            raise ParseError(f"row {rownum}: expected {len(header)} fields, "
-                             f"got {len(row)}", row=rownum)
+            raise ValueError(f"row {rownum}: expected {len(header)} fields, "
+                             f"got {len(row)}")
         try:
             values.append([float(v) for v in row])
         except ValueError:
-            raise ParseError(f"row {rownum}: non-numeric field", row=rownum)
+            raise ValueError(f"row {rownum}: non-numeric field")
     if not values:
-        raise ParseError("no data rows")
+        raise ValueError("no data rows")
     values = np.asarray(values)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         rownum = int(np.argmin(finite)) + 2
-        raise ParseError(f"row {rownum}: non-finite value", row=rownum)
+        raise ValueError(f"row {rownum}: non-finite value")
     features, raw_labels = values[:, feat_idx], values[:, label_idx]
     if threshold is not None:
         threshold = resolve_threshold(threshold, raw_labels)
         labels = (raw_labels > threshold).astype(int)
     else:
         if not np.isin(raw_labels, (0.0, 1.0)).all():
-            raise ParseError("label column is not binary; pass a threshold "
+            raise ValueError("label column is not binary; pass a threshold "
                              "to binarize a real-valued response")
         labels = raw_labels.astype(int)
     return LabeledDataset(
@@ -264,7 +252,7 @@ def write_csv(ds: LabeledDataset, path) -> None:
 def write_rows(path, header, rows) -> None:
     """Write a header and then ``rows`` as CSV; csv writes a Python float as
     its repr, the shortest exact form."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -281,19 +269,19 @@ def normalize_for_coverage(ds: LabeledDataset, preds: np.ndarray,
     Returns (normalized latent, normalized prediction matrix).
     """
     if ds.latent is None:
-        raise DatasetError("coverage normalization needs the true latent")
+        raise ValueError("coverage normalization needs the true latent")
     preds = np.asarray(preds, dtype=float)
     if preds.shape[0] != ds.n:
-        raise ShapeError("predictions are not aligned with dataset rows")
+        raise ValueError("predictions are not aligned with dataset rows")
     if preds.shape[1] != len(grid):
-        raise ShapeError("prediction width does not match grid size")
+        raise ValueError("prediction width does not match grid size")
     mu, sd = ds.latent.mean(), ds.latent.std()
     if sd == 0.0:
-        raise DatasetError("degenerate latent distribution (zero spread)")
+        raise ValueError("degenerate latent distribution (zero spread)")
     latent_norm = (ds.latent - mu) / sd
     med = preds[:, grid.median_index]
     med_mu, med_sd = med.mean(), med.std()
     if med_sd == 0.0:
-        raise DatasetError("degenerate median prediction (zero spread)")
+        raise ValueError("degenerate median prediction (zero spread)")
     preds_norm = (preds - med_mu) / med_sd
     return latent_norm, preds_norm

@@ -11,14 +11,10 @@ import dataclasses
 
 import numpy as np
 
-from .network import ShapeError, TauGrid
+from .network import TauGrid
 
 BQR = "bqr"
 BCE = "bce"
-
-
-class DomainError(ValueError):
-    """Raised when a probability/latent argument is outside its domain."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,17 +27,17 @@ class LossSpec:
 
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:
-            raise DomainError("crossing weight must be non-negative and finite")
+            raise ValueError("crossing weight must be non-negative and finite")
         if self.kind not in (BQR, BCE):
-            raise DomainError(f"unknown loss kind {self.kind!r}")
+            raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.kind == BCE and self.grid.levels != (0.5,):
-            raise DomainError("cross-entropy baseline uses the single level 0.5")
+            raise ValueError("cross-entropy baseline uses the single level 0.5")
 
 
 def _check_tau(tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0.0) or np.any(tau >= 1.0):
-        raise DomainError("tau must lie strictly in (0, 1)")
+        raise ValueError("tau must lie strictly in (0, 1)")
     return tau
 
 
@@ -119,7 +115,7 @@ def _loss_and_grad(y, z, spec: LossSpec):
     as a logit: log(1 + e^z) - y z, with gradient sigmoid(z) - y.
     """
     if z.shape[-1] != len(spec.grid):
-        raise ShapeError("prediction length does not match grid size")
+        raise ValueError("prediction length does not match grid size")
     if spec.kind == BCE:
         z0 = z[:, 0]
         grad = np.zeros_like(z)
@@ -215,7 +211,7 @@ def curvature_bounds(tau: float, m_bound: float) -> CurvatureBounds:
     t = float(_check_tau(tau))
     m = float(m_bound)
     if m <= 0:
-        raise DomainError("latent bound must be positive")
+        raise ValueError("latent bound must be positive")
     a1 = t * (1 - t) ** 2 * np.exp(-(1 - t) * m) / (1 - t * np.exp(-(1 - t) * m))
     a2 = t ** 2 * (1 - t) * np.exp(-t * m) / (1 - (1 - t) * np.exp(-t * m))
     a3 = t * (1 - t) ** 3 * np.exp(-m) / (1 - t * np.exp(-(1 - t) * m)) ** 2
@@ -240,9 +236,9 @@ def backward(net, x, y, spec: LossSpec):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape[0] == 0:
-        raise ShapeError("empty batch")
+        raise ValueError("empty batch")
     if x.shape[0] != y.shape[0]:
-        raise ShapeError("features and labels are misaligned")
+        raise ValueError("features and labels are misaligned")
     z, acts, pres = forward_cached(net, x)
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite network output")

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .datasets import write_rows
-from .network import ShapeError, TauGrid
+from .network import TauGrid
 
 DELTA_BIN_CENTERS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -35,7 +35,7 @@ def coverage(norm_latent, norm_preds, grid: TauGrid) -> CoverageTable:
     norm_latent = np.asarray(norm_latent, dtype=float)
     norm_preds = np.asarray(norm_preds, dtype=float)
     if norm_preds.shape != (norm_latent.shape[0], len(grid)):
-        raise ShapeError("latent and prediction matrix are misaligned")
+        raise ValueError("latent and prediction matrix are misaligned")
     cov = (norm_latent[:, None] < norm_preds).mean(axis=0)
     return CoverageTable(grid=grid, coverage=cov)
 
@@ -44,7 +44,7 @@ def accuracy(predicted, actual) -> float:
     predicted = np.asarray(predicted, dtype=int)
     actual = np.asarray(actual, dtype=int)
     if predicted.shape != actual.shape:
-        raise ShapeError("prediction and label vectors are misaligned")
+        raise ValueError("prediction and label vectors are misaligned")
     if predicted.size == 0:
         raise ValueError("accuracy of an empty sample is undefined")
     return float(np.mean(predicted == actual))
@@ -94,7 +94,7 @@ def delta_report(scores, labels) -> DeltaBinReport:
     labels = np.asarray(labels, dtype=int)
     deltas = np.asarray(scores.delta, dtype=float)
     if deltas.shape != labels.shape:
-        raise ShapeError("scores and labels are misaligned")
+        raise ValueError("scores and labels are misaligned")
     wrong = np.asarray(scores.predicted_label) != labels
     m_r, r_r = [], []
     for t in DELTA_BIN_CENTERS:
@@ -150,7 +150,7 @@ def roc_auc_at_delta(scores, labels, confidence,
     labels = np.asarray(labels, dtype=int)
     deltas = np.asarray(confidence.delta, dtype=float)
     if not (scores.shape[0] == labels.shape[0] == deltas.shape[0]):
-        raise ShapeError("scores, labels, and confidence are misaligned")
+        raise ValueError("scores, labels, and confidence are misaligned")
     keep = deltas >= delta_min
     return roc_auc(scores[keep], labels[keep])
 

@@ -30,14 +30,6 @@ CHECKPOINT_VERSION = "bqrnet-ckpt-2"
 FORWARD_BLOCK_ROWS = 1024
 
 
-class ArchitectureError(ValueError):
-    """Raised for invalid layer configurations."""
-
-
-class ShapeError(ValueError):
-    """Raised on input dimension mismatches."""
-
-
 @dataclasses.dataclass(frozen=True)
 class TauGrid:
     """Ordered quantile levels the network outputs.
@@ -89,12 +81,12 @@ def _layout(input_dim: int, trunk_widths: Sequence[int], m: int):
     place that knows it.
     """
     if input_dim < 1:
-        raise ArchitectureError("input_dim must be positive")
+        raise ValueError("input_dim must be positive")
     widths = [operator.index(w) for w in trunk_widths]
     if not widths:
-        raise ArchitectureError("trunk must have at least one layer")
+        raise ValueError("trunk must have at least one layer")
     if any(w < 1 for w in widths):
-        raise ArchitectureError("trunk widths must be positive")
+        raise ValueError("trunk widths must be positive")
     shapes = [shape for fan_in, width in zip([input_dim] + widths, widths)
               for shape in ((width, fan_in), (width,))]
     shapes += [(m, widths[-1]), (m,)]
@@ -132,7 +124,7 @@ class QuantileNet:
             self.input_dim, self.trunk_widths, len(self.grid))
         self.params = np.ascontiguousarray(self.params, dtype=float)
         if self.params.shape != (self._layout[-1][1],):
-            raise ShapeError("flat parameter vector has wrong length")
+            raise ValueError("flat parameter vector has wrong length")
         self.trunk_w, self.trunk_b, self.head_w, self.head_b = _views(
             self.params, self._layout)
 
@@ -174,11 +166,11 @@ def _pass(net: QuantileNet, x: np.ndarray, pres, acts, z: np.ndarray) -> None:
 
 
 def check_inputs(net: QuantileNet, x: np.ndarray) -> np.ndarray:
-    """``x`` as float64 rows of ``net.input_dim`` features: a ShapeError for
-    any other shape, a ValueError for a non-finite feature."""
+    """``x`` as float64 rows of ``net.input_dim`` features: a ValueError for
+    any other shape or a non-finite feature."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ShapeError(
+        raise ValueError(
             f"expected inputs with {net.input_dim} features, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("inputs must be finite")

@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from .losses import DomainError
-from .network import ShapeError, TauGrid
+from .network import TauGrid
 
 # boundary anchors for the smoothing sum: levels 0 and 1 flank the grid
 TAU_LO = 0.0
@@ -43,14 +42,14 @@ def _knots(levels):
 
 def _kernel_weights(knots, bandwidth, tau):
     """(len(tau), len(knots) - 1) normalized Gaussian-kernel weights; a
-    DomainError when a row's weights sum to 0, as they do for a bandwidth
+    ValueError when a row's weights sum to 0, as they do for a bandwidth
     so wide that every knot's CDF rounds to the same value."""
     cdf = _norm_cdf((tau[:, None] - knots[None, :]) / bandwidth)
     w = cdf[:, :-1] - cdf[:, 1:]
     total = w.sum(axis=1, keepdims=True)
     if not np.all(total > 0.0):
-        raise DomainError(f"bandwidth {bandwidth} leaves kernel weights that "
-                          "cannot be normalized")
+        raise ValueError(f"bandwidth {bandwidth} leaves kernel weights that "
+                         "cannot be normalized")
     return w / total
 
 
@@ -81,10 +80,6 @@ def _moment_operator(levels: tuple, bandwidth: float):
     return w, w_mean, gram
 
 
-class OutOfGridError(ValueError):
-    """Requested quantile level is outside the representable range."""
-
-
 @dataclasses.dataclass
 class SmoothedQuantileFn:
     """Kernel-smoothed quantile function for one sample, evaluable on (0,1).
@@ -105,7 +100,7 @@ class SmoothedQuantileFn:
         self.values = np.asarray(self.values, dtype=float)
         _check_bandwidth(self.bandwidth)
         if self.values.shape != (len(self.grid),):
-            raise ShapeError("values must align with the grid")
+            raise ValueError("values must align with the grid")
         self._knots = _knots(self.grid.levels)
 
     def weights(self, tau):
@@ -123,13 +118,13 @@ class SmoothedQuantileFn:
 
 def _check_bandwidth(h):
     if not 0 < h < math.inf:
-        raise DomainError(f"bandwidth must be positive and finite, not {h}")
+        raise ValueError(f"bandwidth must be positive and finite, not {h}")
 
 
 def _pred_matrix(pred_matrix, grid: TauGrid) -> np.ndarray:
     preds = np.asarray(pred_matrix, dtype=float)
     if preds.ndim != 2 or preds.shape[1] != len(grid):
-        raise ShapeError("prediction matrix columns must align with the grid")
+        raise ValueError("prediction matrix columns must align with the grid")
     return preds
 
 
@@ -196,11 +191,11 @@ def prediction_intervals(pred_matrix, grid: TauGrid, level: float):
     """
     preds = _pred_matrix(pred_matrix, grid)
     if not 0.0 < level < 1.0:
-        raise DomainError(f"interval level {level} must lie in (0, 1)")
+        raise ValueError(f"interval level {level} must lie in (0, 1)")
     taus = grid.array
     lo_t, hi_t = 0.5 * level, 1.0 - 0.5 * level
     if lo_t < taus[0] - 1e-12 or hi_t > taus[-1] + 1e-12:
-        raise OutOfGridError(
+        raise ValueError(
             f"interval levels ({lo_t:.3f}, {hi_t:.3f}) fall outside the grid "
             f"span [{taus[0]}, {taus[-1]}]")
     return _interp_column(preds, taus, lo_t), _interp_column(preds, taus, hi_t)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import losses
 from .datasets import write_rows
-from .network import (QuantileNet, ShapeError, _trunk_deltas, apply_step,
+from .network import (QuantileNet, _trunk_deltas, apply_step,
                       check_inputs, forward, forward_cached)
 
 FIXED = "fixed"
@@ -85,7 +85,7 @@ def estimate_kz(net: QuantileNet, x: np.ndarray) -> float:
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] == 0:
-        raise ShapeError("empty batch")
+        raise ValueError("empty batch")
     _, acts, pres = forward_cached(net, x)
     # per-row max(|a|, 1) of each layer's input; the last entry also bounds
     # every head's own gradient (trunk output activations and 1 for the bias)
@@ -101,7 +101,7 @@ def estimate_kz(net: QuantileNet, x: np.ndarray) -> float:
 def lalr_eta(kz: float, lip: float) -> float:
     """Adaptive learning rate 1 / (kz * lip)."""
     if kz <= 0 or lip <= 0:
-        raise losses.DomainError("kz and Lipschitz constant must be positive")
+        raise ValueError("kz and Lipschitz constant must be positive")
     return 1.0 / (kz * lip)
 
 
@@ -117,14 +117,14 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     if x.shape[0] != y.shape[0]:
-        raise ShapeError("features and labels are misaligned")
+        raise ValueError("features and labels are misaligned")
     if x.shape[0] == 0:
-        raise ShapeError("empty dataset")
+        raise ValueError("empty dataset")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
     x = check_inputs(net, x)
     if spec.grid != net.grid:
-        raise ShapeError("the loss grid differs from the network's grid")
+        raise ValueError("the loss grid differs from the network's grid")
     col = net.grid.median_index
     net = net.copy()
     trace = TrainTrace(records=[])

@@ -2,6 +2,10 @@
 and export, and coverage normalization."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from bqrnet.datasets import (GENERATORS, DatasetError, LabeledDataset,
-                             NoiseSpec, ParseError, flip_labels, fold_scaling,
-                             gen_dataset, load_csv, normalize_for_coverage,
-                             resolve_threshold, scale_features,
-                             threshold_labels, train_test_split, write_csv)
+from bqrnet.datasets import (GENERATORS, LabeledDataset, NoiseSpec,
+                             flip_labels, fold_scaling, gen_dataset, load_csv,
+                             normalize_for_coverage, resolve_threshold,
+                             scale_features, threshold_labels,
+                             train_test_split, write_csv)
 from bqrnet.network import TauGrid, forward, init_net
 
 
@@ -31,9 +35,9 @@ class TestGenerators:
         assert signal("D4")(np.array([0.0]))[0] == 0.0
 
     def test_unknown_id(self):
-        with pytest.raises(DatasetError):
+        with pytest.raises(ValueError, match="unknown dataset id 'D7'"):
             gen_dataset("D7", 10, 0)
-        with pytest.raises(DatasetError):
+        with pytest.raises(ValueError, match="unknown dataset id 'bogus'"):
             gen_dataset("bogus", 10, 0)
 
     def test_deterministic(self):
@@ -82,7 +86,7 @@ class TestThreshold:
 
     def test_requires_latent(self):
         ds = LabeledDataset(features=np.zeros((2, 1)), labels=[0, 1])
-        with pytest.raises(DatasetError):
+        with pytest.raises(ValueError, match="requires the true latent"):
             threshold_labels(ds, 0.0)
 
 
@@ -111,9 +115,9 @@ class TestFlipLabels:
         assert np.array_equal(twice.labels, ds.labels)
 
     def test_fraction_domain(self):
-        with pytest.raises(DatasetError):
+        with pytest.raises(ValueError, match=r"flip fraction 0.6 outside \[0, 0.5\]"):
             NoiseSpec(0.6, seed=0)
-        with pytest.raises(DatasetError):
+        with pytest.raises(ValueError, match=r"flip fraction -0.1 outside \[0, 0.5\]"):
             NoiseSpec(-0.1, seed=0)
 
 
@@ -166,7 +170,7 @@ class TestCsv:
     @pytest.mark.parametrize("spec", [float("nan"), float("inf"), "nan",
                                       "-inf", " NaN "])
     def test_non_finite_threshold_rejected(self, spec):
-        with pytest.raises(DatasetError, match="finite"):
+        with pytest.raises(ValueError, match="threshold must be finite"):
             resolve_threshold(spec, np.array([1.5, 2.5, 3.5]))
 
     def test_malformed_threshold_spec(self, from_text):
@@ -174,40 +178,62 @@ class TestCsv:
             from_text("x,resp\n0,1.5\n", label_column="resp", threshold="mean")
 
     def test_non_binary_without_threshold(self, from_text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match="label column is not binary"):
             from_text("x,label\n0,0.7\n", label_column="label")
 
     def test_missing_label_column(self, from_text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match="label column 'label' not found"):
             from_text("x,y\n0,1\n", label_column="label")
 
     def test_ragged_row_reports_line(self, from_text):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ValueError, match="^row 3: expected 2 fields, got 1$"):
             from_text("x,label\n0,1\n2\n", label_column="label")
-        assert exc.value.row == 3
 
     def test_non_numeric_field(self, from_text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match="row 2: non-numeric field"):
             from_text("x,label\nfoo,1\n", label_column="label")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_field_reports_line(self, from_text, cell):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ValueError, match="^row 3: non-finite value$"):
             from_text(f"x0,label\n0.1,0\n{cell},1\n0.5,1\n",
                       label_column="label")
-        assert exc.value.row == 3
 
     def test_non_finite_label_or_latent(self, from_text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match="row 2: non-finite value"):
             from_text("x,resp\n0,nan\n1,2\n",
                       label_column="resp", threshold=1.0)
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match="row 3: non-finite value"):
             from_text("x,lat,label\n0,0.5,0\n1,inf,1\n",
                       label_column="label", latent_column="lat")
 
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_csv("/nonexistent/file.csv", label_column="label")
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # spreadsheet programs start a UTF-8 CSV with a byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,x\n1,0.5\n0,-0.5\n")
+        ds = load_csv(path, label_column="label")
+        assert ds.column_names == ["x"]
+        assert list(ds.labels) == [1, 0]
+
+    def test_non_ascii_header_whatever_the_locale(self, tmp_path):
+        # an ASCII locale without UTF-8 mode must neither fail to read a
+        # UTF-8 header nor write it back in another encoding
+        text = "x_\u00e9,label\r\n0.5,1\r\n-0.5,0\r\n".encode()
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_bytes(text)
+        src_dir = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C",
+                   PYTHONPATH=os.pathsep.join(
+                       [src_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys; from bqrnet.datasets import load_csv, write_csv; "
+                "write_csv(load_csv(sys.argv[1], label_column='label'), sys.argv[2])")
+        subprocess.run([sys.executable, "-c", code, str(src), str(dst)],
+                       env=env, capture_output=True, timeout=60, check=True)
+        assert dst.read_bytes() == text
 
     def test_round_trip(self, tmp_path):
         ds = threshold_labels(gen_dataset("D3", 20, seed=8), 0.0)
@@ -322,7 +348,7 @@ class TestCoverageNormalization:
         ds = LabeledDataset(features=np.zeros((5, 1)),
                             latent=np.full(5, 2.0), labels=np.zeros(5),
                             threshold=0.0)
-        with pytest.raises(DatasetError):
+        with pytest.raises(ValueError, match="degenerate latent"):
             normalize_for_coverage(ds, np.zeros((5, 9)), TauGrid.default())
 
     def test_alignment_checks(self):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from bqrnet.losses import (BCE, BQR, DomainError, LossSpec, _bqr_terms,
-                           _hinge, _loss_and_grad, backward, bqr_loss,
+from bqrnet.losses import (BCE, BQR, LossSpec, _bqr_terms, _hinge,
+                           _loss_and_grad, backward, bqr_loss,
                            curvature_bounds, lipschitz_const, prob_pos,
                            total_grad, total_loss)
 from bqrnet.network import (TauGrid, flatten_grad, flatten_params, forward,
@@ -60,9 +60,9 @@ class TestProbPos:
             assert np.all((p > 0) & (p < 1))
 
     def test_tau_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
             prob_pos(0.0, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
             prob_pos(0.0, 1.0)
 
 
@@ -240,20 +240,20 @@ class TestTotalLoss:
         assert total_loss(0, np.array([z]), spec) == pytest.approx(-np.log(1 - p))
 
     def test_bce_requires_single_head(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="single level 0.5"):
             LossSpec(grid=TauGrid((0.4, 0.6)), kind=BCE)
 
     def test_bce_requires_median_level(self):
-        with pytest.raises(DomainError, match="0.5"):
+        with pytest.raises(ValueError, match="0.5"):
             LossSpec(grid=TauGrid((0.3,)), kind=BCE)
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="non-negative"):
             LossSpec(grid=TauGrid((0.5,)), lam=-1.0)
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_non_finite_lambda_rejected(self, lam):
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             LossSpec(grid=TauGrid((0.5,)), lam=lam)
 
     def test_total_grad_matches_fd(self):
@@ -404,9 +404,9 @@ class TestCurvatureBounds:
             assert 0 < cb.c1 <= cb.c2
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="latent bound must be positive"):
             curvature_bounds(0.5, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
             curvature_bounds(1.0, 1.0)
 
 

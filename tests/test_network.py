@@ -4,8 +4,7 @@ bookkeeping, and checkpoint round-trips."""
 import numpy as np
 import pytest
 
-from bqrnet.network import (ArchitectureError, QuantileNet,
-                            ShapeError, TauGrid, apply_step,
+from bqrnet.network import (QuantileNet, TauGrid, apply_step,
                             backprop_from_outputs, flatten_grad,
                             flatten_params, forward, forward_cached, init_net,
                             load_checkpoint, param_count, save_checkpoint,
@@ -60,15 +59,15 @@ class TestInitNet:
         assert not np.array_equal(a.trunk_w[0], b.trunk_w[0])
 
     def test_empty_trunk_rejected(self):
-        with pytest.raises(ArchitectureError):
+        with pytest.raises(ValueError, match="at least one layer"):
             init_net(1, [], TauGrid.default(), seed=7)
 
     def test_zero_width_rejected(self):
-        with pytest.raises(ArchitectureError):
+        with pytest.raises(ValueError, match="widths must be positive"):
             init_net(1, [4, 0], TauGrid.default(), seed=7)
 
     def test_zero_input_dim_rejected(self):
-        with pytest.raises(ArchitectureError):
+        with pytest.raises(ValueError, match="input_dim must be positive"):
             init_net(0, [4], TauGrid.default(), seed=7)
 
     def test_biases_zero(self):
@@ -108,7 +107,7 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         net = init_net(2, [4], TauGrid.default(), seed=1)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match="expected inputs with 2 features"):
             forward(net, np.zeros((3, 5)))
 
     def test_non_finite_rejected(self):
@@ -340,9 +339,9 @@ class TestFlatLayout:
         assert np.any(net.head_w != 0.0)
 
     def test_constructor_checks_length_and_architecture(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match="wrong length"):
             QuantileNet(1, [2], TauGrid((0.5,)), np.zeros(6))
-        with pytest.raises(ArchitectureError):
+        with pytest.raises(ValueError, match="at least one layer"):
             QuantileNet(1, [], TauGrid((0.5,)), np.zeros(7))
         net = QuantileNet(1, [2], TauGrid((0.5,)), np.arange(7.0))
         assert net.trunk_widths == [2]
@@ -378,7 +377,7 @@ class TestParamCount:
 
     def test_unflatten_wrong_length(self):
         net = init_net(2, [4], TauGrid.default(), seed=6)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match="wrong length"):
             unflatten_params(net, np.zeros(3))
 
 
