@@ -342,6 +342,25 @@ class TestEvaluate:
         assert m_r.endswith(",NA")
         strict_json(tmp_path / "run" / "train_summary.json")
 
+    def test_bce_checkpoint(self, tmp_path):
+        # the median is the grid's only level, so no row crosses zero inside
+        # the grid: every delta is 0.5 and every row is kept at every
+        # threshold, and the one occupied bin leaves the calibration undefined
+        fit = ["--id", "D1", "--n", "300", "--seed", "3"]
+        assert run(["train", *fit, "--loss", "bce", "--grid", "0.5",
+                    "--trunk", "8", "--epochs", "5",
+                    "--out", tmp_path / "run"]) == 0
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--id", "D1", "--n", "200", "--seed", "4",
+                    "--checkpoint", tmp_path / "run" / "checkpoint.npz",
+                    "--out", out]) == 0
+        summary = strict_json(out / "summary.json")
+        assert summary["grid"] == [0.5]
+        assert summary["retention_per_threshold"] == [1.0] * 5
+        assert summary["misclassification_per_threshold"] \
+            == pytest.approx([1.0 - summary["accuracy"]] * 5, abs=1e-15)
+        assert summary["delta_r2"] is None
+
     def test_csv_without_latent_skips_coverage(self, trained, tmp_path, capsys):
         data = tmp_path / "data.csv"
         rng = np.random.default_rng(0)

@@ -302,13 +302,18 @@ class TestBatchAgainstRowwise:
         return np.vstack([monotone, crossing, zero_median, all_pos, all_neg,
                           ties])
 
-    def test_delta_and_label_exact(self, preds):
-        scores = delta_scores(preds, GRID)
-        ref = [_rowwise_delta(row, GRID.array, GRID.median_index)
+    # a median that is the grid's only, first, last or a middle level
+    @pytest.mark.parametrize("grid", [
+        TauGrid((0.5,)), TauGrid((0.5, 0.7)), TauGrid((0.3, 0.5)), GRID],
+        ids=["median-alone", "median-first", "median-last", "default"])
+    def test_delta_and_label_exact(self, preds, grid):
+        preds = preds[:, :len(grid)]
+        scores = delta_scores(preds, grid)
+        ref = [_rowwise_delta(row, grid.array, grid.median_index)
                for row in preds]
         assert np.array_equal(scores.delta, [d for d, _ in ref])
         assert np.array_equal(scores.predicted_label, [lab for _, lab in ref])
-        one = delta_score(preds[7], GRID)
+        one = delta_score(preds[7], grid)
         assert (one.delta, one.predicted_label) == ref[7]
 
     @pytest.mark.parametrize("level", [0.2, 0.25, 0.5, 0.8])
