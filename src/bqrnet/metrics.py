@@ -96,26 +96,20 @@ def delta_report(scores, labels) -> DeltaBinReport:
     if deltas.shape != labels.shape:
         raise ValueError("scores and labels are misaligned")
     wrong = np.asarray(scores.predicted_label) != labels
-    m_r, r_r = [], []
-    for t in DELTA_BIN_CENTERS:
-        keep = deltas >= t
-        r_r.append(float(keep.mean()))
-        m_r.append(float(wrong[keep].mean()) if keep.any() else None)
     centers = np.asarray(DELTA_BIN_CENTERS)
+    # (thresholds, rows): the rows kept at each threshold
+    keep = deltas >= centers[:, None]
+    kept, missed = keep.sum(axis=1), (keep & wrong).sum(axis=1)
+    m_r = [float(w / k) if k else None for w, k in zip(missed, kept)]
     assign = np.argmin(np.abs(deltas[:, None] - centers[None, :]), axis=1)
-    bin_mean_delta, bin_m = [], []
-    for j in range(len(centers)):
-        members = assign == j
-        if members.any():
-            bin_mean_delta.append(float(deltas[members].mean()))
-            bin_m.append(float(wrong[members].mean()))
-        else:
-            bin_mean_delta.append(None)
-            bin_m.append(None)
+    bins = assign == np.arange(len(centers))[:, None]
+    bin_mean_delta = [float(deltas[b].mean()) if b.any() else None for b in bins]
+    bin_m = [float(wrong[b].mean()) if b.any() else None for b in bins]
     obs = [m for m in bin_m if m is not None]
-    pred = [0.5 - d for d, m in zip(bin_mean_delta, bin_m) if m is not None]
+    pred = [0.5 - d for d in bin_mean_delta if d is not None]
     r2 = r_squared(obs, pred) if len(obs) >= 2 else None
-    return DeltaBinReport(misclassification=m_r, retention=r_r,
+    return DeltaBinReport(misclassification=m_r,
+                          retention=(kept / deltas.size).tolist(),
                           bin_mean_delta=bin_mean_delta,
                           bin_misclassification=bin_m, r2=r2)
 

@@ -222,15 +222,6 @@ class ConfidenceScores:
         return 0.5 - self.delta
 
 
-def _first_true(mask):
-    """Column of the first True in each row of a boolean matrix, -1 where a
-    row has none."""
-    if mask.shape[1] == 0:
-        return np.full(mask.shape[0], -1)
-    idx = np.argmax(mask, axis=1)
-    return np.where(mask[np.arange(mask.shape[0]), idx], idx, -1)
-
-
 def delta_scores(pred_matrix, grid: TauGrid) -> ConfidenceScores:
     """Confidence score of every row, from the piecewise-linear interpolant
     of its quantile vector over the grid.
@@ -251,15 +242,17 @@ def delta_scores(pred_matrix, grid: TauGrid) -> ConfidenceScores:
     med = preds[:, mid]
     pos = med > 0
     neg = ~pos & (med != 0)
-    # nearest knot at or below zero left of a positive median, at or above
-    # zero right of a negative one; a and a + 1 bracket the crossing
-    left = _first_true(preds[:, :mid][:, ::-1] <= 0.0)
-    right = _first_true(preds[:, mid + 1:] >= 0.0)
-    a = np.where(pos, mid - 1 - left, mid + right)
-    crossed = np.flatnonzero(np.where(pos, left >= 0, neg & (right >= 0)))
-    a, b = a[crossed], a[crossed] + 1
-    qa, qb = preds[crossed, a], preds[crossed, b]
-    tau_star = taus[a] - qa * (taus[b] - taus[a]) / (qb - qa)
+    # the nearest knot at or below zero left of the median and at or above
+    # zero right of it, by column; an all-True column appended to each test
+    # puts "none" at -1 (left) or m (right). Knots a and a + 1 bracket the
+    # crossing.
+    end = np.ones((len(preds), 1), dtype=bool)
+    left = mid - 1 - np.argmax(np.hstack([preds[:, :mid][:, ::-1] <= 0, end]), 1)
+    right = mid + 1 + np.argmax(np.hstack([preds[:, mid + 1:] >= 0, end]), 1)
+    crossed = np.flatnonzero(np.where(pos, left >= 0, neg & (right < len(taus))))
+    a = np.where(pos, left, right - 1)[crossed]
+    qa, qb = preds[crossed, a], preds[crossed, a + 1]
+    tau_star = taus[a] - qa * (taus[a + 1] - taus[a]) / (qb - qa)
     delta = np.where(pos | neg, 0.5, 0.0)
     delta[crossed] = np.where(pos[crossed], 0.5 - tau_star, tau_star - 0.5)
     return ConfidenceScores(delta=np.minimum(np.maximum(delta, 0.0), 0.5),
