@@ -37,7 +37,14 @@ def _resolve(args: argparse.Namespace) -> dict:
     out = {}
     if args.config is not None:
         with open(args.config, "rb") as fh:
-            out = yaml.safe_load(fh) or {}
+            try:
+                out = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:  # its text spans several lines
+                problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+                mark = getattr(exc, "problem_mark", None)
+                if mark:
+                    problem += f" at line {mark.line + 1}, column {mark.column + 1}"
+                raise ValueError(f"{args.config}: {problem}") from None
         if not isinstance(out, dict):
             raise ValueError("config file must contain a mapping")
         unknown = sorted(map(str, out.keys() - CONFIG_KEYS))
@@ -79,7 +86,8 @@ def _require(cfg: dict, key: str) -> str:
 def _list(cfg: dict, key: str, kind, default) -> list:
     """cfg[key] as a list of ``kind``: a flag gives comma-separated text, a
     config file a list, a single value or the same text; null is the
-    default. Text items are converted, the others checked by ``_typed``."""
+    default. Text items are converted and the others checked by ``_typed``,
+    either under the key's name."""
     val = _get(cfg, key, (str, list, kind))
     if val is None:
         return default
@@ -87,7 +95,18 @@ def _list(cfg: dict, key: str, kind, default) -> list:
         val = val.split(",")
     elif not isinstance(val, list):
         val = [val]
-    return [kind(v) if isinstance(v, str) else _typed(key, v, kind) for v in val]
+    return [_parse(key, v, kind) if isinstance(v, str) else _typed(key, v, kind)
+            for v in val]
+
+
+def _parse(key: str, text: str, kind):
+    """``kind(text)``, or a ValueError naming ``key`` in the form of
+    ``_typed``'s."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{key} must be {kind.__name__}, not "
+                         f"{json.dumps(text)}") from None
 
 
 def _load_dataset(cfg: dict, default_n: int = 7000):
@@ -344,7 +363,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         report, *notes = args.fn(cfg)
-    except (ValueError, OSError, yaml.YAMLError, training.TrainingDiverged) as exc:
+    except (ValueError, OSError, training.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         diverged = isinstance(exc, training.TrainingDiverged)
         return EXIT_RUNTIME if diverged else EXIT_VALIDATION

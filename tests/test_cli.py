@@ -214,7 +214,37 @@ class TestTrain:
         rc = run(["train", "--config", cfg, "--epochs", "1",
                   "--out", tmp_path / "run"])
         assert rc == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: expected ',' or ']', but got ':' at line 2, "
+            "column 2\n")
+
+    @pytest.mark.parametrize("text, problem", [
+        (b"a: [1", "expected ',' or ']', but got '<stream end>' at line 1, "
+                   "column 6"),
+        (b"a: !!python/object:os.system 1\n", "could not determine a "
+         "constructor for the tag 'tag:yaml.org,2002:python/object:os.system' "
+         "at line 1, column 4"),
+        (b"a: \xff\n", "unacceptable character #x00ff: invalid start byte")],
+        ids=["unclosed", "unsafe-tag", "not-utf-8"])
+    def test_yaml_error_is_one_line(self, tmp_path, capsys, text, problem):
+        # the parser's message spans up to five lines
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_bytes(text)
+        assert run(["train", "--config", cfg]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {cfg}: {problem}\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trunk", "", 'trunk must be int, not ""'),
+        ("--trunk", "4,x", 'trunk must be int, not "x"'),
+        ("--grid", "0.5,x", 'grid must be float, not "x"')])
+    def test_list_item_names_its_key(self, tmp_path, capsys, flag, value,
+                                     message):
+        # these printed int()'s or float()'s message, which names no option
+        out = tmp_path / "run"
+        assert run(["train", "--id", "D1", "--n", "100", "--epochs", "1",
+                    flag, value, "--out", out]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--lam", "nan"), ("--lam", "inf"),
