@@ -26,12 +26,8 @@ DEFAULT_BANDWIDTH = 0.1
 # function is finite on the closed interval [0, 1]
 _QUAD_POINTS = 1001
 
+_erf = np.frompyfunc(math.erf, 1, 1)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
-def _norm_cdf(x):
-    """Standard normal CDF as 0.5 erfc(-x / sqrt 2), elementwise."""
-    return 0.5 * _erfc(np.negative(x) / math.sqrt(2.0)).astype(float)
 
 
 def _knots(levels):
@@ -42,10 +38,18 @@ def _knots(levels):
 
 def _kernel_weights(knots, bandwidth, tau):
     """(len(tau), len(knots) - 1) normalized Gaussian-kernel weights; a
-    ValueError when a row's weights sum to 0, as they do for a bandwidth
-    so wide that every knot's CDF rounds to the same value."""
-    cdf = _norm_cdf((tau[:, None] - knots[None, :]) / bandwidth)
-    w = cdf[:, :-1] - cdf[:, 1:]
+    ValueError when a row's weights sum to 0.
+
+    Each weight is the kernel's mass between two knots, a difference of erf
+    values at x = (tau - knot) / (bandwidth sqrt 2), or of erfc(|x|) values
+    where both knots lie in one tail (|x| >= 1), as erfc is the smaller
+    there. So no difference cancels: the weights stay exact at any bandwidth
+    whose sqrt 2 multiple is finite, and are all 0 beyond it."""
+    x = (tau[:, None] - knots[None, :]) / (bandwidth * math.sqrt(2.0))
+    e, c = _erf(x).astype(float), _erfc(np.abs(x)).astype(float)
+    hi, lo = x[:, :-1], x[:, 1:]
+    w = np.where(lo >= 1.0, c[:, 1:] - c[:, :-1],
+                 np.where(hi <= -1.0, c[:, :-1] - c[:, 1:], e[:, :-1] - e[:, 1:]))
     total = w.sum(axis=1, keepdims=True)
     if not np.all(total > 0.0):
         raise ValueError(f"bandwidth {bandwidth} leaves kernel weights that "

@@ -525,7 +525,7 @@ class TestSmooth:
         assert rc == EXIT_VALIDATION
         assert "level" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bandwidth", ["inf", "1e300"])
+    @pytest.mark.parametrize("bandwidth", ["inf", "1.5e308"])
     def test_bandwidth_whose_weights_cannot_be_normalized(self, trained,
                                                          tmp_path, capsys,
                                                          bandwidth):

@@ -1,6 +1,8 @@
 """Kernel-smoothed quantile function, conditional moments, prediction
 intervals, and the confidence (delta) score."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,13 +72,36 @@ class TestSmoothedQuantileFn:
         with pytest.raises(ValueError, match="bandwidth must be positive"):
             smooth(np.zeros(9), GRID, h=0.0)
 
-    @pytest.mark.parametrize("h", [np.inf, 1e300])
+    @pytest.mark.parametrize("h", [np.inf, 1.5e308])
     def test_bandwidth_whose_weights_cannot_be_normalized(self, h):
-        # every kernel row sums to 0 at 1e300; both gave NaN, not an error
+        # h sqrt 2 overflows at 1.5e308, so every kernel row sums to 0; both
+        # gave NaN, not an error
         with pytest.raises(ValueError, match="bandwidth"):
             smooth(np.zeros(9), GRID, h)(0.5)
         with pytest.raises(ValueError, match="bandwidth"):
             conditional_moments(np.zeros((2, 9)), GRID, h)
+
+    @pytest.mark.parametrize("h", [10.0 ** k for k in range(18)] + [1e300],
+                             ids="{:g}".format)
+    def test_antisymmetric_row_keeps_zero_mean_at_wide_bandwidths(self, h):
+        # the weights were differences of normal CDFs that round near 0.5:
+        # the mean read 7.3e-7 at 1e12 and 0.013 at 1e15, and from 1e16 on
+        # no weights could be normalized
+        mean, _ = conditional_moments(np.linspace(-2, 2, 9)[None, :], GRID, h)
+        assert abs(mean[0]) <= 3e-15
+
+    @pytest.mark.parametrize("h", [0.02, 0.1, 0.5])
+    def test_weights_match_normal_cdf_differences(self, h):
+        # at working bandwidths the weights are the CDF differences they were
+        cdf = np.frompyfunc(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), 1, 1)
+        knots = np.concatenate(([0.0], 0.5 * (GRID.array[:-1] + GRID.array[1:]),
+                                [1.0]))
+        taus = np.linspace(0.0, 1.0, 1001)
+        c = cdf((taus[:, None] - knots[None, :]) / h).astype(float)
+        ref = c[:, :-1] - c[:, 1:]
+        ref /= ref.sum(axis=1, keepdims=True)
+        assert np.abs(smooth(np.zeros(9), GRID, h).weights(taus) - ref).max() \
+            <= 3e-16
 
     def test_values_align_with_grid(self):
         with pytest.raises(ValueError):

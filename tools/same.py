@@ -187,6 +187,8 @@ STEPS = [
     ("smooth-bce", f"smooth --id D1 --n 40 --seed 9 {BCE} --out smooth-bce"),
     ("smooth-bandwidth-1e300", f"smooth --id D3 --n 20 --seed 9 {CKPT} "
                                "--bandwidth 1e300 --out smooth-1e300"),
+    ("smooth-bandwidth-1.5e308", f"smooth --id D3 --n 20 --seed 9 {CKPT} "
+                                 "--bandwidth 1.5e308 --out bad"),
     ("diverge", "train --id D1 --n 100 --seed 0 --epochs 5 --batch-size 16 "
                 "--lr 1e200 --out diverge"),
     # bad input, each an exit 2
