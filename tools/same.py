@@ -25,7 +25,8 @@ compared between two runs on the same host.
 ``--self-test`` runs two clean worktrees of HEAD, which must report every
 artifact identical, then edits ``apply_step`` in one of them to step by
 ``eta * (1 + 2**-52)``, which must be reported. Every worktree it makes is
-removed when it exits.
+removed when it exits. Worktrees and outputs go in the system temporary
+directory (``TMPDIR``).
 """
 
 from __future__ import annotations
@@ -61,17 +62,15 @@ def _git(*args, cwd=ROOT) -> str:
 
 
 @contextlib.contextmanager
-def worktree(ref: str, parent=None):
-    """A detached checkout of ``ref`` in a new temporary directory (under
-    ``parent`` when given), removed with its directory on exit."""
-    tmp = Path(tempfile.mkdtemp(prefix="bqrnet-worktree-", dir=parent))
+def worktree(ref: str):
+    """A detached checkout of ``ref`` in a new temporary directory, removed
+    on exit together with git's record of it."""
+    tmp = Path(tempfile.mkdtemp(prefix="bqrnet-worktree-"))
     path = tmp / "tree"
     _git("worktree", "add", "--detach", "--quiet", str(path), ref)
     try:
         yield path
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(path)],
-                       cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
         _git("worktree", "prune")
 
@@ -465,10 +464,6 @@ def report(diffs: dict, count: int, patterns) -> bool:
         expected = any(fnmatch.fnmatchcase(key, p) for p in patterns)
         unexpected += not expected
         print(f"{'expected' if expected else 'DIFFERS '}  {key}: {detail}")
-    unused = [p for p in patterns
-              if not any(fnmatch.fnmatchcase(k, p) for k in diffs)]
-    for p in unused:
-        print(f"note: --expect-change pattern {p!r} matched no difference")
     print(f"{count} artifacts compared: {len(diffs)} differ, "
           f"{unexpected} of them unexpected")
     return unexpected == 0
@@ -476,19 +471,18 @@ def report(diffs: dict, count: int, patterns) -> bool:
 
 # -- entry points ------------------------------------------------------------
 
-def _compare_to(base_ref: str, patterns, scratch) -> bool:
+def _compare_to(base_ref: str, patterns) -> bool:
     sha = _git("rev-parse", "--short", base_ref)
-    with worktree(base_ref, scratch) as base, \
-            tempfile.TemporaryDirectory(dir=scratch) as tmp:
+    with worktree(base_ref) as base, tempfile.TemporaryDirectory() as tmp:
         print(f"base {base_ref} ({sha}) vs the working tree {ROOT}")
         works = run_sides({"base": base / "src", "change": ROOT / "src"},
                           Path(tmp))
         return report(*compare(works["base"], works["change"]), patterns)
 
 
-def self_test(scratch) -> bool:
-    with worktree("HEAD", scratch) as base, worktree("HEAD", scratch) as change, \
-            tempfile.TemporaryDirectory(dir=scratch) as tmp:
+def self_test() -> bool:
+    with worktree("HEAD") as base, worktree("HEAD") as change, \
+            tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         works = run_sides({"base": base / "src", "head": change / "src"}, tmp)
         print("self-test 1: HEAD against HEAD")
@@ -516,9 +510,6 @@ def main(argv=None) -> int:
     parser.add_argument("--expect-change", metavar="PATH",
                         help="file of fnmatch patterns of expected differences")
     parser.add_argument("--self-test", action="store_true")
-    parser.add_argument("--scratch", metavar="DIR",
-                        help="where worktrees and outputs go (default: the "
-                             "system temporary directory)")
     parser.add_argument("--side", nargs=2, metavar=("SRC", "WORK"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -526,8 +517,8 @@ def main(argv=None) -> int:
         run_side(*map(Path, args.side))
         return 0
     start = time.perf_counter()
-    ok = (self_test(args.scratch) if args.self_test else
-          _compare_to(args.base, _patterns(args.expect_change), args.scratch))
+    ok = (self_test() if args.self_test else
+          _compare_to(args.base, _patterns(args.expect_change)))
     print(f"{time.perf_counter() - start:.1f} s")
     return 0 if ok else 1
 
