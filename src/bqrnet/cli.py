@@ -30,6 +30,25 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a mapping setting one key twice,
+    where the safe loader keeps the last value; a key may still override
+    one merged in by ``<<``."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        seen = set()
+        for key_node in keys:
+            key = self.construct_object(key_node, deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    problem=f"duplicate key {json.dumps(key, default=str)}",
+                    problem_mark=key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """The config file's values overridden by every flag the command was
     given; the parser gives each command only the flags it uses. A file key
@@ -38,7 +57,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     if args.config is not None:
         with open(args.config, "rb") as fh:
             try:
-                out = yaml.safe_load(fh) or {}
+                out = yaml.load(fh, Loader=_UniqueKeyLoader) or {}
             except yaml.YAMLError as exc:  # its text spans several lines
                 problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
                 mark = getattr(exc, "problem_mark", None)
@@ -298,11 +317,16 @@ def cmd_smooth(cfg: dict):
 # name -> (function, --help line)
 COMMANDS = {
     "simulate": (cmd_simulate, "generate a simulated dataset CSV"),
-    "train": (cmd_train, "train command"),
-    "evaluate": (cmd_evaluate, "evaluate command"),
-    "noise-sweep": (cmd_noise_sweep, "noise-sweep command"),
-    "lalr-bench": (cmd_lalr_bench, "lalr-bench command"),
-    "smooth": (cmd_smooth, "smooth command"),
+    "train": (cmd_train, "fit a network; writes checkpoint.npz, trace.csv "
+                         "and train_summary.json"),
+    "evaluate": (cmd_evaluate, "score a checkpoint; writes coverage.csv, "
+                               "delta_report.csv and summary.json"),
+    "noise-sweep": (cmd_noise_sweep, "BCE and BQR accuracy under label flips; "
+                                     "writes noise_sweep.csv"),
+    "lalr-bench": (cmd_lalr_bench, "epochs to a target accuracy at two fixed "
+                                   "rates and LALR; writes lalr_bench.csv"),
+    "smooth": (cmd_smooth, "per-row quantiles, smoothed moments, delta and "
+                           "prediction interval; writes smooth.csv"),
 }
 _ALL = tuple(COMMANDS)
 _FIT = ("train", "noise-sweep", "lalr-bench")

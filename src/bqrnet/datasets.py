@@ -108,14 +108,22 @@ def threshold_labels(ds: LabeledDataset, mu: float) -> LabeledDataset:
 
 def resolve_threshold(spec: Union[float, str], response) -> float:
     """A binarization threshold given as a number, 'median', or
-    'p<percentile>' of the response (e.g. 'p80'); it must be finite."""
+    'p<percentile>' of the response with the percentile in [0, 100] (e.g.
+    'p80'); it must be finite."""
     text = str(spec).strip().lower()
-    if text == "median":
-        mu = float(np.median(response))
-    elif text.startswith("p"):
-        mu = float(np.percentile(response, float(text[1:])))
-    else:
-        mu = float(spec if isinstance(spec, (int, float)) else text)
+    try:
+        if text == "median":
+            mu = float(np.median(response))
+        elif text.startswith("p"):
+            q = float(text[1:])
+            if not 0.0 <= q <= 100.0:  # NaN fails too
+                raise ValueError
+            mu = float(np.percentile(response, q))
+        else:
+            mu = float(spec if isinstance(spec, (int, float)) else text)
+    except ValueError:
+        raise ValueError("threshold must be a number, 'median' or "
+                         f"'p0'..'p100', not \"{spec}\"") from None
     if not np.isfinite(mu):
         raise ValueError(f"threshold must be finite, not {mu}")
     return mu

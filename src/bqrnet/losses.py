@@ -36,7 +36,7 @@ class LossSpec:
 
 def _check_tau(tau):
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0.0) or np.any(tau >= 1.0):
+    if not np.all((tau > 0.0) & (tau < 1.0)):  # NaN fails too
         raise ValueError("tau must lie strictly in (0, 1)")
     return tau
 
@@ -210,7 +210,7 @@ def curvature_bounds(tau: float, m_bound: float) -> CurvatureBounds:
     """
     t = float(_check_tau(tau))
     m = float(m_bound)
-    if m <= 0:
+    if not m > 0:  # NaN fails too
         raise ValueError("latent bound must be positive")
     a1 = t * (1 - t) ** 2 * np.exp(-(1 - t) * m) / (1 - t * np.exp(-(1 - t) * m))
     a2 = t ** 2 * (1 - t) * np.exp(-t * m) / (1 - (1 - t) * np.exp(-t * m))

@@ -48,9 +48,9 @@ class TauGrid:
         if len(levels) == 0:
             raise ValueError("grid must contain at least one level")
         arr = np.asarray(levels)
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails too
             raise ValueError("quantile levels must lie strictly in (0, 1)")
-        if np.any(np.diff(arr) <= 0.0):
+        if not np.all(np.diff(arr) > 0.0):
             raise ValueError("quantile levels must be strictly increasing")
 
     @classmethod

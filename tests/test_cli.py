@@ -4,6 +4,7 @@ lalr-bench, and smooth, including config-file merging and exit codes."""
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -246,6 +247,38 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_config_key_set_twice_rejected(self, tmp_path, capsys):
+        # the last value won: this file trained 3 epochs and exited 0
+        cfg = tmp_path / "twice.yaml"
+        cfg.write_text("dataset_id: D1\nn: 100\nepochs: 1\nepochs: 3\n")
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--trunk", "4",
+                    "--out", out]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f'error: {cfg}: duplicate key "epochs" at line 4, column 1\n')
+        assert not out.exists()
+
+    def test_nan_quantile_level_rejected(self, tmp_path, capsys):
+        # it trained a NaN column, the grid's median_index, and exited 3
+        # with a non-finite loss
+        out = tmp_path / "run"
+        assert run(["train", "--id", "D1", "--n", "100", "--epochs", "1",
+                    "--grid", "0.5,nan", "--out", out]) == EXIT_VALIDATION
+        assert capsys.readouterr().err \
+            == "error: quantile levels must lie strictly in (0, 1)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["pfoo", "abc", "p-5", "p150"])
+    def test_bad_threshold_text_names_threshold(self, tmp_path, capsys, value):
+        # these printed float()'s or numpy's percentile message
+        out = tmp_path / "run"
+        assert run(["train", "--id", "D1", "--n", "100", "--epochs", "1",
+                    "--threshold", value, "--out", out]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: threshold must be a number, 'median' or 'p0'..'p100', "
+            f'not "{value}"\n')
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--lam", "nan"), ("--lam", "inf"),
         ("--threshold", "nan"), ("--threshold", "inf")])
@@ -481,7 +514,7 @@ class TestLalrBench:
                   "--trunk", "4", "--epochs", "3", "--target-acc", target,
                   "--out", out])
         assert rc == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: target_acc ")
+        assert re.fullmatch(r"error: target_acc .*\n", capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -523,7 +556,7 @@ class TestSmooth:
                   "--checkpoint", trained / "checkpoint.npz",
                   "--pi-level", "1.5", "--out", tmp_path / "smooth"])
         assert rc == EXIT_VALIDATION
-        assert "level" in capsys.readouterr().err
+        assert re.fullmatch(r"error: .*level.*\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("bandwidth", ["inf", "1.5e308"])
     def test_bandwidth_whose_weights_cannot_be_normalized(self, trained,
@@ -624,6 +657,14 @@ class TestFlags:
     def subparsers():
         return next(a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_help_line_names_what_each_command_writes(self):
+        writes = {"simulate": "CSV", "train": "checkpoint.npz",
+                  "evaluate": "summary.json", "noise-sweep": "noise_sweep.csv",
+                  "lalr-bench": "lalr_bench.csv", "smooth": "smooth.csv"}
+        assert list(writes) == list(cli.COMMANDS)
+        for name, (_, help_) in cli.COMMANDS.items():
+            assert writes[name] in help_, name
 
     def test_each_command_takes_its_flags_in_order(self):
         # the option strings of every command as 0.4.0 declared them

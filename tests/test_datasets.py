@@ -177,6 +177,17 @@ class TestCsv:
         with pytest.raises(ValueError):
             from_text("x,resp\n0,1.5\n", label_column="resp", threshold="mean")
 
+    @pytest.mark.parametrize("spec", ["pfoo", "abc", "p-5", "p150", "pnan",
+                                      "p", ""])
+    def test_bad_threshold_text_names_threshold(self, spec):
+        # these printed float()'s or numpy's percentile message, which name
+        # no option
+        message = (f"threshold must be a number, 'median' or 'p0'..'p100', "
+                   f'not "{spec}"')
+        with pytest.raises(ValueError) as info:
+            resolve_threshold(spec, np.array([1.5, 2.5, 3.5]))
+        assert str(info.value) == message
+
     def test_non_binary_without_threshold(self, from_text):
         with pytest.raises(ValueError, match="label column is not binary"):
             from_text("x,label\n0,0.7\n", label_column="label")

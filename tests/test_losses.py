@@ -65,6 +65,14 @@ class TestProbPos:
         with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
             prob_pos(0.0, 1.0)
 
+    def test_nan_tau_rejected(self):
+        # NaN compares false, so a check written as tau <= 0 or tau >= 1
+        # let it through and the probability came back NaN
+        with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
+            prob_pos(0.0, float("nan"))
+        with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
+            bqr_loss(1, 0.5, float("nan"))
+
 
 class TestBqrLoss:
     def test_known_values(self):
@@ -408,6 +416,12 @@ class TestCurvatureBounds:
             curvature_bounds(0.5, 0.0)
         with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
             curvature_bounds(1.0, 1.0)
+
+    def test_nan_arguments_rejected(self):
+        with pytest.raises(ValueError, match="latent bound must be positive"):
+            curvature_bounds(0.5, float("nan"))
+        with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
+            curvature_bounds(float("nan"), 1.0)
 
 
 class TestBackward:

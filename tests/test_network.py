@@ -32,6 +32,14 @@ class TestTauGrid:
         with pytest.raises(ValueError):
             TauGrid((0.6, 0.4))
 
+    @pytest.mark.parametrize("levels", [(0.5, np.nan), (np.nan,),
+                                        (0.2, np.nan, 0.8)])
+    def test_rejects_nan_level(self, levels):
+        # NaN compares false, so (0.5, nan) passed both checks and its
+        # median_index was 1, the NaN column
+        with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
+            TauGrid(levels)
+
     def test_grid_without_median_allowed_but_median_index_raises(self):
         grid = TauGrid((0.4, 0.6))
         with pytest.raises(ValueError):

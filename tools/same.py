@@ -1,5 +1,5 @@
 """Same numbers: run a base git ref and the working tree through the same
-library fits and CLI invocations, and compare every artifact bit for bit.
+CLI invocations, and compare every artifact bit for bit.
 
     python3 tools/same.py [--base REF] [--expect-change PATH]
     python3 tools/same.py --self-test
@@ -8,13 +8,13 @@ The base is checked out into a temporary git worktree. Each side runs in its
 own process, in a fresh directory, with one BLAS thread and bqrnet imported
 from that side's src/; both sides run the script in this file.
 
-- Four library fits (FITS) save their params and every per-epoch record.
-- Every CLI invocation of STEPS runs in-process through ``bqrnet.cli.main``;
-  its exit code, stdout and stderr are recorded, with the side's paths
-  replaced by ``<src>`` and ``<work>``.
+Every CLI invocation of STEPS runs in-process through ``bqrnet.cli.main``;
+its exit code, stdout and stderr are recorded, with the side's paths replaced
+by ``<src>`` and ``<work>``. STEPS opens with four larger ``train`` fits
+(FITS), each writing its checkpoint and every per-epoch record.
 
-Then every artifact is compared: fits, exit codes, output streams and every
-file the steps wrote. A difference names its artifact and where it starts:
+Then every artifact is compared: exit codes, output streams and every file
+the steps wrote. A difference names its artifact and where it starts:
 the first differing byte of a file or stream, the column of a CSV whose
 header and shape agree, or the largest absolute difference of an .npz array.
 The exit code is 1 when a difference is not matched by a pattern (fnmatch,
@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import fnmatch
 import io
 import json
@@ -77,13 +76,14 @@ def worktree(ref: str):
 
 # -- what each side runs ----------------------------------------------------
 
-# name -> (data: a dataset id or "blobs", trunk, grid levels (None for the
-# default grid), learning rate: "lalr" or a fixed rate, epochs)
+# name -> train arguments; each runs with --n 1500 --seed 0 --out fit-<name>
 FITS = {
-    "d1-64x64-lalr": ("D1", [64, 64], None, "lalr", 30),
-    "d1-256x256-fixed": ("D1", [256, 256], None, 0.05, 5),
-    "blobs-6x5-lalr": ("blobs", [6, 5], None, "lalr", 40),
-    "d1-median-only-lalr": ("D1", [64, 64], (0.5,), "lalr", 20),
+    "d1-64x64-lalr": "--id D1 --trunk 64,64 --epochs 30 --lr lalr",
+    "d1-256x256-fixed": "--id D1 --trunk 256,256 --epochs 5 --lr 0.05",
+    "blobs-6x5-lalr": "--data smoke_blobs.csv --label-column label "
+                      "--trunk 6,5 --epochs 40 --lr lalr",
+    "d1-median-only-lalr": "--id D1 --trunk 64,64 --grid 0.5 --epochs 20 "
+                           "--lr lalr",
 }
 
 # text inputs written into each side's directory before the steps run
@@ -99,8 +99,9 @@ INPUTS = {
     "accepted_types.yaml": "dataset_id: D1\nn: 100\nepochs: 2\nlam: 1\n"
                            "lr: 0.05\nthreshold: 0.1\ntrunk: 4\n"
                            "grid: 0.25,0.5,0.75\nloss: bqr\n",
-    **{f"wrong_type_{key}_{i}.yaml":
-       f"dataset_id: D1\nn: 100\nepochs: 1\ntrunk: [4]\n{key}: {value}\n"
+    **{f"wrong_type_{key}_{i}.yaml": "".join(
+        f"{k}: {v}\n" for k, v in {"dataset_id": "D1", "n": 100, "epochs": 1,
+                                   "trunk": "[4]", key: value}.items())
        for i, (key, value) in enumerate([
            ("epochs", "null"), ("epochs", "2.7"), ("epochs", "true"),
            ("trunk", "[4, null]"), ("n", "[100]"), ("seed", '"3"'),
@@ -139,6 +140,8 @@ def _rewrite(src: str, dst: str, **meta):
 # (name, argv) runs ``bqrnet argv``; (callable, *args) prepares an input.
 # Successes come first, so that the failures can use what they wrote.
 STEPS = [
+    *((f"fit-{name}", f"train {args} --n 1500 --seed 0 --out fit-{name}")
+      for name, args in FITS.items()),
     ("help", "--help"),
     *((f"help-{cmd}", f"{cmd} --help") for cmd in (
         "simulate", "train", "evaluate", "noise-sweep", "lalr-bench", "smooth")),
@@ -278,38 +281,13 @@ def _invoke(main, argv):
     return code or 0, out.getvalue(), err.getvalue()
 
 
-def _fit(name, data, trunk, levels, lr, epochs, out: Path):
-    import numpy as np
-    from bqrnet import datasets, losses, network, training
-    if data == "blobs":
-        ds = datasets.load_csv(BLOBS, label_column="label")
-    else:
-        ds = datasets.gen_dataset(data, 1500, 0)
-        ds = datasets.threshold_labels(
-            ds, datasets.resolve_threshold("median", ds.latent))
-    lo, hi = ds.features.min(axis=0), ds.features.max(axis=0)
-    x = datasets.scale_features(ds.features, lo, hi)
-    grid = network.TauGrid(levels) if levels else network.TauGrid.default()
-    net = network.init_net(x.shape[1], trunk, grid, 0)
-    cfg = training.TrainConfig(
-        epochs=epochs, batch_size=128, seed=0,
-        **({"lr_mode": training.LALR} if lr == "lalr" else {"eta": lr}))
-    net, trace = training.train(net, x, ds.labels, losses.LossSpec(grid), cfg)
-    np.savez(out / f"{name}.npz", params=net.params, records=np.array(
-        [dataclasses.astuple(r) for r in trace.records], dtype=float))
-
-
 def run_side(src: Path, work: Path) -> None:
-    """Run FITS and STEPS with bqrnet from ``src``, writing into ``work``."""
+    """Run STEPS with bqrnet from ``src``, writing into ``work``."""
     import bqrnet
     from bqrnet import cli
     if Path(bqrnet.__file__).resolve().parent != (src / "bqrnet").resolve():
         sys.exit(f"bqrnet imported from {bqrnet.__file__}, not {src}")
     os.chdir(work)
-    fits = work / "fits"
-    fits.mkdir()
-    for name, spec in FITS.items():
-        _fit(name, *spec, fits)
     shutil.copy(BLOBS, work / "smoke_blobs.csv")
     for name, text in INPUTS.items():
         (work / name).write_bytes(text.encode())
@@ -497,7 +475,7 @@ def self_test() -> bool:
         print("self-test 2: HEAD against eta * (1 + 2**-52) in apply_step")
         diffs, count = compare(works["base"], edited)
         report(diffs, count, [])
-        caught = all(f"fits/{fit}.npz:params" in diffs for fit in FITS)
+        caught = all(f"fit-{fit}/checkpoint.npz:params" in diffs for fit in FITS)
     print(f"self-test: identical run {'passed' if same else 'FAILED'}; "
           f"1-ulp edit {'caught' if caught else 'MISSED'} in every fit")
     return same and caught
