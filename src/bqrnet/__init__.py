@@ -9,7 +9,7 @@ from .losses import (BCE, BQR, CurvatureBounds, LossSpec, backward, bqr_loss,
 from .metrics import (CoverageTable, DeltaBinReport, accuracy, coverage,
                       delta_report, roc_auc, roc_auc_at_delta)
 from .network import (QuantileNet, TauGrid, forward, init_net, load_checkpoint,
-                      param_count, save_checkpoint)
+                      save_checkpoint)
 from .smoothing import (ConfidenceScores, SmoothedQuantileFn, conditional_mean,
                         conditional_moments, conditional_stat, delta_score,
                         delta_scores, prediction_interval,
@@ -17,7 +17,7 @@ from .smoothing import (ConfidenceScores, SmoothedQuantileFn, conditional_mean,
 from .training import (TrainConfig, TrainTrace, NotReached, epochs_to_target,
                        estimate_kz, lalr_eta, train)
 
-__version__ = "0.8.2"
+__version__ = "0.9.0"
 
 __all__ = [
     "LabeledDataset", "NoiseSpec", "flip_labels", "gen_dataset", "load_csv",
@@ -27,7 +27,7 @@ __all__ = [
     "CoverageTable", "DeltaBinReport", "accuracy", "coverage", "delta_report",
     "roc_auc", "roc_auc_at_delta",
     "QuantileNet", "TauGrid", "forward", "init_net", "load_checkpoint",
-    "param_count", "save_checkpoint",
+    "save_checkpoint",
     "ConfidenceScores", "SmoothedQuantileFn",
     "conditional_mean", "conditional_moments", "conditional_stat",
     "delta_score", "delta_scores", "prediction_interval",

@@ -228,7 +228,7 @@ def cmd_train(cfg: dict):
     trace.to_csv(out / "trace.csv")
     last = trace.records[-1] if trace.records else None
     metrics.summary_json(out / "train_summary.json", {
-        **_summary(cfg), "param_count": network.param_count(net),
+        **_summary(cfg), "param_count": net.params.size,
         "final_loss": last and last.loss, "final_accuracy": last and last.accuracy})
     return f"wrote checkpoint.npz and trace.csv to {out}",
 
@@ -302,15 +302,21 @@ def cmd_smooth(cfg: dict):
     mean, variance = smoothing.conditional_moments(
         preds, grid, _get(cfg, "bandwidth", float, smoothing.DEFAULT_BANDWIDTH))
     scores = smoothing.delta_scores(preds, grid)
-    lo, hi = smoothing.prediction_intervals(
-        preds, grid, _get(cfg, "pi_level", float, 0.5))
+    columns = {"mean": mean, "variance": variance, "delta": scores.delta,
+               "label": scores.predicted_label}
+    level = _get(cfg, "pi_level", float)
+    try:
+        columns["pi_low"], columns["pi_high"] = smoothing.prediction_intervals(
+            preds, grid, 0.5 if level is None else level)
+    except ValueError as exc:
+        if level is not None:  # only the default level may be skipped
+            raise
+        print(f"note: {exc}; pi_low and pi_high skipped")
     path = _outdir(cfg) / "smooth.csv"
-    columns = (mean, variance, scores.delta, scores.predicted_label, lo, hi)
     datasets.write_rows(
-        path, [f"q_{t:.2f}" for t in grid.levels]
-        + ["mean", "variance", "delta", "label", "pi_low", "pi_high"],
+        path, [f"q_{t:.2f}" for t in grid.levels] + list(columns),
         (q + rest for q, *rest in zip(preds.tolist(),
-                                      *(c.tolist() for c in columns))))
+                                      *(c.tolist() for c in columns.values()))))
     return f"wrote {path}",
 
 

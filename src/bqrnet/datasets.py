@@ -27,9 +27,10 @@ class LabeledDataset:
     column_names: Optional[list] = None
 
     def __post_init__(self):
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        if self.features.shape[0] < 1:
-            raise ValueError("dataset must contain at least one row")
+        self.features = np.asarray(self.features, dtype=float)
+        if self.features.ndim != 2 or self.features.shape[0] < 1:
+            raise ValueError("features must be an (n, d) array of at least "
+                             f"one row, not shape {self.features.shape}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
 
@@ -64,8 +65,8 @@ def _bump_signal(x):
     return 2.0 * ((1.0 - u + 2.0 * u ** 2) * np.exp(-0.5 * u ** 2) - 1.5)
 
 
-# (signal on x in (-1,1), noise sampler given rng and n); Gaussian noise
-# widths are read as variances
+# (signal on x in (-1,1), noise sampler given rng and n); rng.normal takes a
+# standard deviation, so D2 and D4 have noise variance 0.5 and D5 has 0.25
 GENERATORS: dict = {
     "D1": (lambda x: 5.0 * np.sin(8.0 * x),
            lambda rng, n: rng.normal(0.0, 1.0, n)),

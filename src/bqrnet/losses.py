@@ -114,8 +114,9 @@ def _loss_and_grad(y, z, spec: LossSpec):
     gradient in place. The cross-entropy baseline scores the single output
     as a logit: log(1 + e^z) - y z, with gradient sigmoid(z) - y.
     """
-    if z.shape[-1] != len(spec.grid):
-        raise ValueError("prediction length does not match grid size")
+    if y.ndim != 1 or z.shape != (y.size, len(spec.grid)):
+        raise ValueError(f"expected n labels and (n, {len(spec.grid)}) "
+                         f"predictions, got shapes {y.shape} and {z.shape}")
     if spec.kind == BCE:
         z0 = z[:, 0]
         grad = np.zeros_like(z)
@@ -132,31 +133,23 @@ def _loss_and_grad(y, z, spec: LossSpec):
     return loss, grad
 
 
-def _as_rows(y, pred):
-    pred = np.asarray(pred, dtype=float)
-    single = pred.ndim == 1
-    if single:
-        pred = pred[None, :]
-    y = np.asarray(y, dtype=float).reshape(-1)
-    return y, pred, single
-
-
 def total_loss(y, pred, spec: LossSpec):
-    """Per-sample loss: sum of per-level losses plus lam * crossing penalty.
+    """Per-sample loss of n labels and (n, m) predictions: sum of per-level
+    losses plus lam * crossing penalty.
 
     For the cross-entropy baseline the single output is a logit scored with
     standard binary cross-entropy.
     """
-    y, pred, single = _as_rows(y, pred)
-    loss, _ = _loss_and_grad(y, pred, spec)
-    return float(loss[0]) if single else loss
+    loss, _ = _loss_and_grad(np.asarray(y, dtype=float),
+                             np.asarray(pred, dtype=float), spec)
+    return loss
 
 
 def total_grad(y, pred, spec: LossSpec):
-    """d(total_loss)/d(pred), vectorized over rows."""
-    y, pred, single = _as_rows(y, pred)
-    _, grad = _loss_and_grad(y, pred, spec)
-    return grad[0] if single else grad
+    """d(total_loss)/d(pred), shape (n, m)."""
+    _, grad = _loss_and_grad(np.asarray(y, dtype=float),
+                             np.asarray(pred, dtype=float), spec)
+    return grad
 
 
 def _sigmoid(z):
@@ -224,8 +217,8 @@ def curvature_bounds(tau: float, m_bound: float) -> CurvatureBounds:
 
 
 def backward(net, x, y, spec: LossSpec):
-    """Gradient of the mean total loss over a batch of 0/1 labels w.r.t.
-    every parameter.
+    """Gradient of the mean total loss over an (n, d) batch and its n 0/1
+    labels w.r.t. every parameter.
 
     Returns (gradient, mean loss); the gradient is one vector laid out like
     ``net.params``. It matches central finite differences away from the
@@ -233,12 +226,12 @@ def backward(net, x, y, spec: LossSpec):
     """
     from .network import backprop_from_outputs, forward_cached
 
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+        raise ValueError(f"expected (n, d) features and n labels, got shapes "
+                         f"{x.shape} and {y.shape}")
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("features and labels are misaligned")
     z, acts, pres = forward_cached(net, x)
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite network output")

@@ -178,16 +178,12 @@ def check_inputs(net: QuantileNet, x: np.ndarray) -> np.ndarray:
 
 
 def forward(net: QuantileNet, x: np.ndarray) -> np.ndarray:
-    """Evaluate the latent quantile vector(s) for one sample or a batch.
+    """The latent quantiles (n, m) of an (n, input_dim) batch.
 
-    A 1-d input of length input_dim returns a vector of length m; a 2-d
-    (n, input_dim) batch returns (n, m). Rows go through the trunk in blocks
-    of FORWARD_BLOCK_ROWS, so the hidden activations of a large batch are
-    never held at once.
+    Rows go through the trunk in blocks of FORWARD_BLOCK_ROWS, so the hidden
+    activations of a large batch are never held at once.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x = check_inputs(net, x[None, :] if single else x)
+    x = check_inputs(net, x)
     n = x.shape[0]
     z = np.empty((n, net.n_heads))
     # one buffer per layer, reused by every block as both pres and acts
@@ -196,7 +192,7 @@ def forward(net: QuantileNet, x: np.ndarray) -> np.ndarray:
         block = x[start:start + FORWARD_BLOCK_ROWS]
         live = [buf[:block.shape[0]] for buf in bufs]
         _pass(net, block, live, live, z[start:start + FORWARD_BLOCK_ROWS])
-    return z[0] if single else z
+    return z
 
 
 def forward_cached(net: QuantileNet, x: np.ndarray):
@@ -246,26 +242,6 @@ def apply_step(net: QuantileNet, grad: np.ndarray, eta: float) -> None:
     net.params -= eta * grad
 
 
-def param_count(net: QuantileNet) -> int:
-    return net.params.size
-
-
-def flatten_params(net: QuantileNet) -> np.ndarray:
-    """A copy of the parameter vector."""
-    return net.params.copy()
-
-
-def unflatten_params(net: QuantileNet, flat: np.ndarray) -> QuantileNet:
-    """A network shaped like ``net`` whose parameters are ``flat`` itself
-    (not a copy) when it is a contiguous float64 vector."""
-    return dataclasses.replace(net, params=flat)
-
-
-def flatten_grad(grad: np.ndarray) -> np.ndarray:
-    """The gradient itself, already one vector laid out like ``params``."""
-    return grad
-
-
 def save_checkpoint(net: QuantileNet, path) -> None:
     """Write a single portable .npz checkpoint (shapes, grid, flat params)."""
     meta = {
@@ -285,13 +261,13 @@ def load_checkpoint(path) -> QuantileNet:
     """Read a ``save_checkpoint`` file; any other file, or one whose arrays
     do not build a network, is a ValueError naming the path."""
     try:
-        with np.load(path) as ckpt:
+        with open(path, "rb") as fh, np.load(fh) as ckpt:
             meta = json.loads(bytes(ckpt["meta"].tobytes()).decode())
             version = meta["version"]
             if version == CHECKPOINT_VERSION:
                 return QuantileNet(meta["input_dim"], meta["trunk_widths"],
                                    TauGrid(tuple(ckpt["grid"])), ckpt["params"])
-    except (KeyError, TypeError, ValueError, OverflowError, EOFError,
-            zipfile.BadZipFile) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+            EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: not a bqrnet checkpoint ({exc})") from exc
     raise ValueError(f"unsupported checkpoint version: {version!r}; retrain")

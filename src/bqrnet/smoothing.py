@@ -108,16 +108,13 @@ class SmoothedQuantileFn:
         self._knots = _knots(self.grid.levels)
 
     def weights(self, tau):
-        """Normalized per-interval weights at the given evaluation levels."""
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        """Normalized per-interval weights, one row per evaluation level."""
+        tau = np.asarray(tau, dtype=float).reshape(-1)
         return _kernel_weights(self._knots, self.bandwidth, tau)
 
     def __call__(self, tau):
-        tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = self.weights(tau_arr) @ self.values
-        if np.isscalar(tau) or np.asarray(tau).ndim == 0:
-            return float(out[0])
-        return out
+        out = self.weights(tau) @ self.values
+        return float(out[0]) if np.ndim(tau) == 0 else out
 
 
 def _check_bandwidth(h):

@@ -75,7 +75,7 @@ class NotReached:
 
 def estimate_kz(net: QuantileNet, x: np.ndarray) -> float:
     """Max-norm bound on the gradient of any network output w.r.t. the
-    parameters, maximized over the batch.
+    parameters, maximized over the rows of an (n, d) batch.
 
     For a linear head over ReLU trunk activations, the per-layer
     output-parameter gradient of head j is an outer product delta * a, so
@@ -83,9 +83,9 @@ def estimate_kz(net: QuantileNet, x: np.ndarray) -> float:
     bias coordinates). Each head's own bias has gradient exactly 1, so the
     bound is never below 1.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError(f"expected a non-empty (n, d) batch, got shape {x.shape}")
     _, acts, pres = forward_cached(net, x)
     # per-row max(|a|, 1) of each layer's input; the last entry also bounds
     # every head's own gradient (trunk output activations and 1 for the bias)
@@ -107,22 +107,20 @@ def lalr_eta(kz: float, lip: float) -> float:
 
 def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
           spec: losses.LossSpec, cfg: TrainConfig):
-    """Run minibatch SGD on 0/1 labels; returns (trained net copy,
-    TrainTrace).
+    """Run minibatch SGD on (n, d) features and their n 0/1 labels; returns
+    (trained net copy, TrainTrace).
 
     Per-epoch accuracy is that of the sign of the median head (the only
     head under BCE) on the training set. In lalr mode k_z is re-estimated
     once per epoch from the first shuffled batch.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != y.shape[0]:
+    x, y = check_inputs(net, x), np.asarray(y, dtype=float)
+    if y.shape != x.shape[:1]:
         raise ValueError("features and labels are misaligned")
     if x.shape[0] == 0:
         raise ValueError("empty dataset")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
-    x = check_inputs(net, x)
     if spec.grid != net.grid:
         raise ValueError("the loss grid differs from the network's grid")
     col = net.grid.median_index

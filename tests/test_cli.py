@@ -558,6 +558,35 @@ class TestSmooth:
         assert rc == EXIT_VALIDATION
         assert re.fullmatch(r"error: .*level.*\n", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("fit", [["--loss", "bce", "--grid", "0.5"],
+                                     ["--grid", "0.3,0.5,0.7"]])
+    def test_grid_that_cannot_span_the_default_interval(self, tmp_path, capsys,
+                                                        fit):
+        # the default 50% interval needs the levels 0.25 and 0.75: smooth
+        # writes every other column and says what it skipped, while an
+        # explicit level is never skipped
+        assert run(["train", "--id", "D1", "--n", "300", "--seed", "3", *fit,
+                    "--trunk", "8", "--epochs", "5",
+                    "--out", tmp_path / "run"]) == 0
+        capsys.readouterr()
+        score = ["smooth", "--id", "D1", "--n", "40", "--seed", "9",
+                 "--checkpoint", tmp_path / "run" / "checkpoint.npz"]
+        assert run([*score, "--out", tmp_path / "smooth"]) == 0
+        note, report = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"note: interval levels \(0.250, 0.750\) fall "
+                            r"outside .*; pi_low and pi_high skipped", note)
+        assert report.startswith("wrote ")
+        header, *rows = (tmp_path / "smooth" / "smooth.csv").read_text() \
+            .splitlines()
+        assert header.split(",")[-4:] == ["mean", "variance", "delta", "label"]
+        assert "pi_" not in header
+        assert len(rows) == 40
+        assert run([*score, "--pi-level", "0.5",
+                    "--out", tmp_path / "bad"]) == EXIT_VALIDATION
+        assert re.fullmatch(r"error: interval levels .*\n",
+                            capsys.readouterr().err)
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("bandwidth", ["inf", "1.5e308"])
     def test_bandwidth_whose_weights_cannot_be_normalized(self, trained,
                                                          tmp_path, capsys,

@@ -63,6 +63,18 @@ class TestGenerators:
         se = ds.latent.std() / np.sqrt(ds.n)
         assert abs(ds.latent.mean() - analytic) < 3 * se
 
+    @pytest.mark.parametrize("dataset_id, mean, var", [
+        ("D1", 0.0, 1.0), ("D2", 0.0, 0.5), ("D3", 0.0, 0.03),
+        ("D4", 0.0, 0.5), ("D5", 0.0, 0.25), ("D6", 0.5, 0.25)])
+    def test_noise_law(self, dataset_id, mean, var):
+        # rng.normal takes a standard deviation: D2 and D4 pass sqrt(0.5),
+        # D5 passes 0.5; D3 is U(-0.3, 0.3) and D6 chi^2(2)/4
+        n = 1_000_000
+        ds = gen_dataset(dataset_id, n, seed=12)
+        resid = ds.latent - signal(dataset_id)(ds.features[:, 0])
+        assert resid.mean() == pytest.approx(mean, abs=5 * np.sqrt(var / n))
+        assert resid.var() == pytest.approx(var, rel=0.01)
+
     def test_d6_noise_nonnegative(self):
         ds = gen_dataset("D6", 5000, seed=3)
         resid = ds.latent - signal("D6")(ds.features[:, 0])
@@ -88,6 +100,15 @@ class TestThreshold:
         ds = LabeledDataset(features=np.zeros((2, 1)), labels=[0, 1])
         with pytest.raises(ValueError, match="requires the true latent"):
             threshold_labels(ds, 0.0)
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("features", [np.zeros(3), np.zeros((0, 1)), 1.0])
+    def test_features_must_be_rows(self, features):
+        # three values are three rows of one feature or one row of three,
+        # so a vector is not read as either
+        with pytest.raises(ValueError, match="features must be an"):
+            LabeledDataset(features=features)
 
 
 class TestFlipLabels:

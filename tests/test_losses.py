@@ -2,18 +2,20 @@
 quadrature oracle, analytic gradients against finite differences, the crossing
 hinge, Lipschitz and curvature constants, and full-network backward."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
 from bqrnet.losses import (BCE, BQR, LossSpec, _bqr_terms, _hinge,
                            _loss_and_grad, backward, bqr_loss,
                            curvature_bounds, lipschitz_const, prob_pos,
                            total_grad, total_loss)
-from bqrnet.network import (TauGrid, flatten_grad, flatten_params, forward,
-                            init_net, unflatten_params)
+from bqrnet.network import TauGrid, forward, init_net
 
 
 def grad_z(y, z, tau):
@@ -222,13 +224,13 @@ class TestCrossingPenalty:
 class TestTotalLoss:
     def test_reduces_to_single_level(self):
         spec = LossSpec(grid=TauGrid((0.5,)), lam=0.0)
-        assert total_loss(1, np.array([0.0]), spec) == pytest.approx(np.log(2))
+        assert total_loss([1], [[0.0]], spec) == pytest.approx([np.log(2)])
 
     def test_monotone_pred_lambda_invariant(self):
-        pred = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        pred = np.array([[-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]])
         grid = TauGrid.default()
-        a = total_loss(1, pred, LossSpec(grid=grid, lam=0.0))
-        b = total_loss(1, pred, LossSpec(grid=grid, lam=5.0))
+        a = total_loss([1], pred, LossSpec(grid=grid, lam=0.0))
+        b = total_loss([1], pred, LossSpec(grid=grid, lam=5.0))
         assert a == pytest.approx(b)
 
     def test_crossed_pred_with_penalty(self):
@@ -237,15 +239,15 @@ class TestTotalLoss:
         spec = LossSpec(grid=TauGrid((0.4, 0.6)), lam=1.0)
         expected = (-np.log(0.4 * np.exp(-0.6 * 1.0))
                     - np.log(0.6 * np.exp(-0.4 * 0.5)) + 0.5)
-        assert total_loss(0, np.array([1.0, 0.5]), spec) == pytest.approx(
-            expected, abs=1e-12)
+        assert total_loss([0], [[1.0, 0.5]], spec) == pytest.approx(
+            [expected], abs=1e-12)
 
     def test_bce_matches_manual(self):
         spec = LossSpec(grid=TauGrid((0.5,)), kind=BCE)
         z = 0.7
         p = 1 / (1 + np.exp(-z))
-        assert total_loss(1, np.array([z]), spec) == pytest.approx(-np.log(p))
-        assert total_loss(0, np.array([z]), spec) == pytest.approx(-np.log(1 - p))
+        assert total_loss([1, 0], [[z], [z]], spec) == pytest.approx(
+            [-np.log(p), -np.log(1 - p)])
 
     def test_bce_requires_single_head(self):
         with pytest.raises(ValueError, match="single level 0.5"):
@@ -271,17 +273,16 @@ class TestTotalLoss:
             spec = LossSpec(grid=grid if kind == BQR else TauGrid((0.5,)),
                             lam=1.0, kind=kind)
             m = len(spec.grid)
-            for _ in range(20):
-                y = float(rng.integers(0, 2))
-                pred = rng.uniform(-3, 3, m)
-                g = total_grad(y, pred, spec)
-                eps = 1e-6
-                for j in range(m):
-                    pp, pm = pred.copy(), pred.copy()
-                    pp[j] += eps
-                    pm[j] -= eps
-                    fd = (total_loss(y, pp, spec) - total_loss(y, pm, spec)) / (2 * eps)
-                    assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+            y = rng.integers(0, 2, 20).astype(float)
+            pred = rng.uniform(-3, 3, (20, m))
+            g = total_grad(y, pred, spec)
+            eps = 1e-6
+            for j in range(m):
+                pp, pm = pred.copy(), pred.copy()
+                pp[:, j] += eps
+                pm[:, j] -= eps
+                fd = (total_loss(y, pp, spec) - total_loss(y, pm, spec)) / (2 * eps)
+                assert g[:, j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def reference_loss_and_grad(y, pred, spec, dtype=np.longdouble):
@@ -360,13 +361,21 @@ class TestFusedKernel:
         loss, grad = _loss_and_grad(y, z, spec)
         assert np.array_equal(total_loss(y, z, spec), loss)
         assert np.array_equal(total_grad(y, z, spec), grad)
-        assert total_loss(y[3], z[3], spec) == loss[3]
-        assert np.array_equal(total_grad(y[3], z[3], spec), grad[3])
 
     def test_grid_length_mismatch(self):
         spec = LossSpec(grid=TauGrid.default())
         with pytest.raises(ValueError):
             _loss_and_grad(np.zeros(2), np.zeros((2, 3)), spec)
+
+    @pytest.mark.parametrize("fn", [total_loss, total_grad])
+    @pytest.mark.parametrize("y, pred", [
+        (1.0, np.zeros(9)), (np.ones(1), np.zeros(9)),
+        (np.ones(3), np.zeros((2, 9))), (np.ones((2, 1)), np.zeros((2, 9)))])
+    def test_only_aligned_batches(self, fn, y, pred):
+        # one row is a (1, m) batch: a vector of m predictions is rejected,
+        # and so are labels that are not one per row
+        with pytest.raises(ValueError, match=r"\(n, 9\) predictions"):
+            fn(y, pred, LossSpec(grid=TauGrid.default()))
 
 
 class TestLipschitz:
@@ -389,6 +398,22 @@ class TestLipschitz:
 
     def test_bce(self):
         assert lipschitz_const(LossSpec(grid=TauGrid((0.5,)), kind=BCE)) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=1, max_size=9,
+                    unique=True),
+           st.one_of(st.just(0.0), st.floats(0.0, 100.0)), st.data())
+    def test_bounds_every_row_gradient(self, levels, lam, data):
+        # the l1 norm of d(total loss)/dz, per-level terms and hinge
+        # together; the bound is attained at m = 1, hence the relative slack
+        spec = LossSpec(grid=TauGrid(tuple(sorted(levels))), lam=lam)
+        rows = data.draw(st.integers(1, 16))
+        z = data.draw(hnp.arrays(float, (rows, len(levels)),
+                                 elements=st.floats(-60.0, 60.0)))
+        y = data.draw(hnp.arrays(float, rows, elements=st.sampled_from([0.0, 1.0])))
+        _, grad = _loss_and_grad(y, z, spec)
+        assert np.all(np.abs(grad).sum(axis=1)
+                      <= lipschitz_const(spec) * (1.0 + 1e-12))
 
 
 class TestCurvatureBounds:
@@ -432,18 +457,19 @@ class TestBackward:
         y = rng.integers(0, 2, 8).astype(float)
         spec = LossSpec(grid=TauGrid.default(), lam=1.0)
         grads, loss0 = backward(net, x, y, spec)
-        flat_g = flatten_grad(grads)
-        theta = flatten_params(net)
+        theta = net.params.copy()
         eps = 1e-6
         idx = rng.choice(theta.size, 60, replace=False)
         for k in idx:
             tp, tm = theta.copy(), theta.copy()
             tp[k] += eps
             tm[k] -= eps
-            lp = float(np.mean(total_loss(y, forward(unflatten_params(net, tp), x), spec)))
-            lm = float(np.mean(total_loss(y, forward(unflatten_params(net, tm), x), spec)))
+            lp = float(np.mean(total_loss(
+                y, forward(dataclasses.replace(net, params=tp), x), spec)))
+            lm = float(np.mean(total_loss(
+                y, forward(dataclasses.replace(net, params=tm), x), spec)))
             fd = (lp - lm) / (2 * eps)
-            assert flat_g[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+            assert grads[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
         assert np.isfinite(loss0)
 
     def test_duplicated_sample_mean_invariance(self):
@@ -454,7 +480,7 @@ class TestBackward:
         g1, l1 = backward(net, x, y, spec)
         g2, l2 = backward(net, np.repeat(x, 3, axis=0), np.repeat(y, 3), spec)
         assert l1 == pytest.approx(l2)
-        assert np.allclose(flatten_grad(g1), flatten_grad(g2))
+        assert np.allclose(g1, g2)
 
     def test_ordered_outputs_no_penalty_gradient(self):
         # identical nets, lam 0 vs lam 5: same gradient when outputs are
@@ -466,10 +492,19 @@ class TestBackward:
         y = np.array([1.0, 0.0])
         g0, _ = backward(net, x, y, LossSpec(grid=TauGrid.default(), lam=0.0))
         g5, _ = backward(net, x, y, LossSpec(grid=TauGrid.default(), lam=5.0))
-        assert np.allclose(flatten_grad(g0), flatten_grad(g5))
+        assert np.allclose(g0, g5)
 
     def test_empty_batch_rejected(self):
         net = init_net(1, [4], TauGrid.default(), seed=23)
         with pytest.raises(ValueError):
             backward(net, np.zeros((0, 1)), np.zeros(0),
                      LossSpec(grid=TauGrid.default()))
+
+    @pytest.mark.parametrize("x, y", [
+        (np.array([0.4]), np.array([1.0])), (np.array([[0.4]]), 1.0),
+        (np.zeros((3, 1)), np.zeros(2))])
+    def test_only_aligned_batches(self, x, y):
+        # one sample is a (1, d) batch with one label
+        net = init_net(1, [4], TauGrid.default(), seed=23)
+        with pytest.raises(ValueError, match="expected"):
+            backward(net, x, y, LossSpec(grid=TauGrid.default()))

@@ -1,14 +1,14 @@
 """Network construction, forward evaluation, backprop, parameter
 bookkeeping, and checkpoint round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bqrnet.network import (QuantileNet, TauGrid, apply_step,
-                            backprop_from_outputs, flatten_grad,
-                            flatten_params, forward, forward_cached, init_net,
-                            load_checkpoint, param_count, save_checkpoint,
-                            unflatten_params)
+                            backprop_from_outputs, forward, forward_cached,
+                            init_net, load_checkpoint, save_checkpoint)
 
 
 class TestTauGrid:
@@ -101,17 +101,17 @@ class TestForward:
         net.trunk_b[0][:] = 0.5
         net.head_w[:] = 1.0
         net.head_b[:] = 0.0
-        for x in (-1.0, 0.0, 0.3, 2.0):
-            expected = max(2.0 * x + 0.5, 0.0)
-            assert forward(net, np.array([x]))[0] == pytest.approx(expected)
+        x = np.array([[-1.0], [0.0], [0.3], [2.0]])
+        expected = np.maximum(2.0 * x + 0.5, 0.0)
+        assert forward(net, x) == pytest.approx(expected)
 
-    def test_single_and_batch_agree(self):
+    def test_one_row_batches_and_batch_agree(self):
         net = init_net(3, [8, 8], TauGrid.default(), seed=5)
         x = np.random.default_rng(0).normal(size=(4, 3))
         batch = forward(net, x)
         assert batch.shape == (4, 9)
         for i in range(4):
-            assert np.allclose(forward(net, x[i]), batch[i])
+            assert np.allclose(forward(net, x[i:i + 1]), batch[i:i + 1])
 
     def test_dimension_mismatch(self):
         net = init_net(2, [4], TauGrid.default(), seed=1)
@@ -157,13 +157,12 @@ class TestBlockedForward:
         assert out.shape == (n, 9)
         assert np.abs(out - forward_unblocked(net, x)).max() <= 1e-12
 
-    def test_single_row_vector(self):
+    def test_one_d_input_rejected(self):
+        # one sample is a (1, input_dim) batch; a vector is not read as one
         net = init_net(3, [64, 64], TauGrid.default(), seed=12)
         x = np.random.default_rng(4).normal(size=3)
-        out = forward(net, x)
-        assert out.shape == (9,)
-        assert np.abs(out - forward_unblocked(net, x[None, :])[0]).max() \
-            <= 1e-12
+        with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+            forward(net, x)
 
     def test_nan_in_a_later_block_rejected(self):
         net = init_net(1, [4], TauGrid.default(), seed=1)
@@ -187,17 +186,17 @@ class TestBackprop:
         x = np.random.default_rng(2).normal(size=(6, 2))
         z, acts, pres = forward_cached(net, x)
         dz = np.ones_like(z)
-        grad = flatten_grad(backprop_from_outputs(net, acts, pres, dz))
+        grad = backprop_from_outputs(net, acts, pres, dz)
 
-        theta = flatten_params(net)
+        theta = net.params.copy()
         eps = 1e-6
         fd = np.empty_like(theta)
         for k in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[k] += eps
             tm[k] -= eps
-            fp = forward(unflatten_params(net, tp), x).sum()
-            fm = forward(unflatten_params(net, tm), x).sum()
+            fp = forward(dataclasses.replace(net, params=tp), x).sum()
+            fm = forward(dataclasses.replace(net, params=tm), x).sum()
             fd[k] = (fp - fm) / (2 * eps)
         assert np.allclose(grad, fd, atol=1e-5)
 
@@ -206,14 +205,13 @@ class TestBackprop:
         x = np.array([[0.7]])
         z, acts, pres = forward_cached(net, x)
         grads = backprop_from_outputs(net, acts, pres, np.ones_like(z))
-        before = flatten_params(net)
+        before = net.params.copy()
         apply_step(net, grads, 0.1)
-        after = flatten_params(net)
-        assert np.allclose(after, before - 0.1 * flatten_grad(grads))
+        assert np.allclose(net.params, before - 0.1 * grads)
 
 
 def old_flatten(arrays):
-    """The concatenation flatten_params and flatten_grad used to build."""
+    """The concatenation of every parameter array, in checkpoint order."""
     trunk_w, trunk_b, head_w, head_b = arrays
     parts = []
     for w, b in zip(trunk_w, trunk_b):
@@ -277,7 +275,7 @@ class TestFlatLayout:
         z, acts, pres = forward_cached(net, x)
         grad = backprop_from_outputs(net, acts, pres, np.ones_like(z))
         for owner, flat in ((net, net.params),
-                            (unflatten_params(net, grad), grad)):
+                            (dataclasses.replace(net, params=grad), grad)):
             for arr in all_arrays(arrays_of(owner)):
                 assert np.shares_memory(arr, flat)
             assert flat.flags.c_contiguous and flat.dtype == np.float64
@@ -286,8 +284,6 @@ class TestFlatLayout:
     def test_params_in_checkpoint_order(self, input_dim, trunk, grid):
         net = perturbed_net(input_dim, trunk, grid, seed=3)
         assert np.array_equal(net.params, old_flatten(arrays_of(net)))
-        assert np.array_equal(flatten_params(net), net.params)
-        assert param_count(net) == net.params.size
 
     @pytest.mark.parametrize("input_dim,trunk,grid", ARCHITECTURES)
     def test_init_bit_identical(self, input_dim, trunk, grid):
@@ -307,7 +303,6 @@ class TestFlatLayout:
         grad = backprop_from_outputs(net, acts, pres, dz)
         old = old_backprop(net, acts, pres, dz)
         assert np.array_equal(grad, old_flatten(old))
-        assert flatten_grad(grad) is grad
 
     @pytest.mark.parametrize("input_dim,trunk,grid", ARCHITECTURES)
     def test_apply_step_is_one_axpy(self, input_dim, trunk, grid):
@@ -322,17 +317,10 @@ class TestFlatLayout:
         assert np.array_equal(net.params, expected)
         assert np.array_equal(old_flatten(arrays_of(net)), expected)
 
-    def test_flatten_params_is_a_copy(self):
-        net = perturbed_net(2, [4, 3], TauGrid.default(), seed=9)
-        before = net.params.copy()
-        flat = flatten_params(net)
-        flat[:] = 0.0
-        assert np.array_equal(net.params, before)
-
-    def test_unflatten_writes_through(self):
+    def test_given_vector_written_through(self):
         net = init_net(2, [4, 3], TauGrid.default(), seed=10)
-        v = np.zeros(param_count(net))
-        other = unflatten_params(net, v)
+        v = np.zeros(net.params.size)
+        other = dataclasses.replace(net, params=v)
         other.trunk_w[1][:] = 1.5
         other.head_b[:] = -2.0
         assert np.array_equal(v, old_flatten(arrays_of(other)))
@@ -370,23 +358,13 @@ class TestIdentity:
 
 class TestParamCount:
     def test_small_examples(self):
-        assert param_count(init_net(1, [2], TauGrid((0.5,)), seed=0)) == 7
-        assert param_count(init_net(3, [4], TauGrid((0.4, 0.6)), seed=0)) == 26
+        assert init_net(1, [2], TauGrid((0.5,)), seed=0).params.size == 7
+        assert init_net(3, [4], TauGrid((0.4, 0.6)), seed=0).params.size == 26
 
-    def test_matches_flatten_length(self):
-        net = init_net(5, [7, 3], TauGrid.default(), seed=1)
-        assert param_count(net) == flatten_params(net).size
-
-    def test_unflatten_round_trip(self):
-        net = init_net(2, [4, 3], TauGrid.default(), seed=6)
-        flat = flatten_params(net)
-        again = flatten_params(unflatten_params(net, flat))
-        assert np.array_equal(flat, again)
-
-    def test_unflatten_wrong_length(self):
+    def test_replaced_vector_of_wrong_length(self):
         net = init_net(2, [4], TauGrid.default(), seed=6)
         with pytest.raises(ValueError, match="wrong length"):
-            unflatten_params(net, np.zeros(3))
+            dataclasses.replace(net, params=np.zeros(3))
 
 
 class TestCheckpoint:
@@ -397,7 +375,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.grid.levels == net.grid.levels
         assert loaded.trunk_widths == net.trunk_widths
-        assert np.array_equal(flatten_params(loaded), flatten_params(net))
+        assert np.array_equal(loaded.params, net.params)
         x = np.random.default_rng(3).normal(size=(4, 3))
         assert np.array_equal(forward(loaded, x), forward(net, x))
 
@@ -412,7 +390,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(network, "init_net", no_init)
         loaded = load_checkpoint(path)
-        assert np.array_equal(flatten_params(loaded), flatten_params(net))
+        assert np.array_equal(loaded.params, net.params)
 
     @pytest.mark.parametrize("kind", ["no_meta", "corrupt_zip", "empty",
                                       "npy_array", "list_meta", "no_dim"])

@@ -2,6 +2,7 @@
 behavior, and epochs-to-target reporting."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqrnet.losses import BCE, LossSpec, lipschitz_const
-from bqrnet.network import (TauGrid, flatten_params, forward, forward_cached,
-                            init_net, unflatten_params)
+from bqrnet.network import TauGrid, forward, forward_cached, init_net
 from bqrnet.training import (EpochRecord, NotReached, TrainConfig, TrainTrace,
                              TrainingDiverged, epochs_to_target, estimate_kz,
                              lalr_eta, train)
@@ -36,7 +36,7 @@ def offset_blob_data(n=400, seed=7):
 
 def estimate_kz_per_head(net, x):
     """estimate_kz as a loop that recomputes every term for each head."""
-    _, acts, pres = forward_cached(net, np.atleast_2d(x))
+    _, acts, pres = forward_cached(net, x)
     best = 0.0
     for j in range(net.n_heads):
         head_best = np.maximum(np.abs(acts[-1]).max(axis=1), 1.0)
@@ -71,15 +71,15 @@ class TestEstimateKz:
         net = init_net(2, [3, 3], TauGrid((0.3, 0.5, 0.7)), seed=21)
         x = np.random.default_rng(6).normal(size=(4, 2))
         kz = estimate_kz(net, x)
-        theta = flatten_params(net)
+        theta = net.params.copy()
         eps = 1e-6
         best = 0.0
         for k in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[k] += eps
             tm[k] -= eps
-            jac = (forward(unflatten_params(net, tp), x)
-                   - forward(unflatten_params(net, tm), x)) / (2 * eps)
+            jac = (forward(dataclasses.replace(net, params=tp), x)
+                   - forward(dataclasses.replace(net, params=tm), x)) / (2 * eps)
             best = max(best, float(np.abs(jac).max()))
         assert kz == pytest.approx(best, abs=1e-5)
 
@@ -87,6 +87,12 @@ class TestEstimateKz:
         net = init_net(1, [4], TauGrid.default(), seed=0)
         with pytest.raises(ValueError):
             estimate_kz(net, np.zeros((0, 1)))
+
+    def test_one_d_batch_rejected(self):
+        # one sample is a (1, d) batch; three values are not read as one row
+        net = init_net(3, [4], TauGrid.default(), seed=0)
+        with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+            estimate_kz(net, np.zeros(3))
 
     @pytest.mark.parametrize("input_dim, trunk, seed", [
         (1, [64, 64], 0), (1, [64, 64], 1), (3, [16, 8, 4], 2),
@@ -187,7 +193,7 @@ class TestTrain:
         out, trace = train(net, x, y, LossSpec(grid=TauGrid.default()),
                            TrainConfig(epochs=0, batch_size=8))
         assert trace.records == []
-        assert np.array_equal(flatten_params(out), flatten_params(net))
+        assert np.array_equal(out.params, net.params)
 
     def test_single_step_matches_hand_update(self):
         # 7-parameter net, one sample, one fixed-eta step: params move by
@@ -199,19 +205,18 @@ class TestTrain:
         y = np.array([1.0])
         spec = LossSpec(grid=TauGrid((0.5,)), lam=0.0)
         grads, _ = backward(net, x, y, spec)
-        from bqrnet.network import flatten_grad
-        expected = flatten_params(net) - 0.05 * flatten_grad(grads)
+        expected = net.params - 0.05 * grads
         out, _ = train(net, x, y, spec,
                        TrainConfig(epochs=1, batch_size=1, eta=0.05))
-        assert np.allclose(flatten_params(out), expected)
+        assert np.allclose(out.params, expected)
 
     def test_original_net_untouched(self):
         net = init_net(1, [4], TauGrid.default(), seed=3)
-        before = flatten_params(net).copy()
+        before = net.params.copy()
         x, y = two_blob_data(40)
         train(net, x, y, LossSpec(grid=TauGrid.default()),
               TrainConfig(epochs=2, batch_size=8))
-        assert np.array_equal(flatten_params(net), before)
+        assert np.array_equal(net.params, before)
 
     def test_deterministic(self):
         x, y = two_blob_data(60)
@@ -221,7 +226,7 @@ class TestTrain:
         for _ in range(2):
             net = init_net(1, [8], TauGrid.default(), seed=4)
             out, trace = train(net, x, y, spec, cfg)
-            runs.append((flatten_params(out), [r.loss for r in trace.records]))
+            runs.append((out.params, [r.loss for r in trace.records]))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
@@ -281,6 +286,7 @@ class TestTrain:
         (np.array([[0.1], [np.nan], [0.3]]), ValueError, "finite"),
         (np.array([[0.1], [np.inf], [0.3]]), ValueError, "finite"),
         (np.zeros((3, 2)), ValueError, "expected inputs with 1 features"),
+        (np.zeros(3), ValueError, r"got shape \(3,\)"),
     ])
     def test_bad_features_rejected_before_training(self, epochs, x, error,
                                                    match):

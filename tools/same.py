@@ -240,6 +240,8 @@ STEPS = [
       for t in ("nan", "5")),
     ("smooth-pi-level", f"smooth --id D3 --n 20 --seed 9 {CKPT} "
                         "--pi-level 1.5 --out bad"),
+    ("smooth-bce-pi-level", f"smooth --id D1 --n 40 --seed 9 {BCE} "
+                            "--pi-level 0.5 --out bad"),
     ("smooth-bandwidth-inf", f"smooth --id D3 --n 20 --seed 9 {CKPT} "
                              "--bandwidth inf --out bad"),
     ("smooth-bandwidth-0", f"smooth --id D3 --n 20 --seed 9 {CKPT} "
