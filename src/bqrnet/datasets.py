@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import types
 from typing import Optional, Union
 
 import numpy as np
@@ -258,13 +259,23 @@ def write_csv(ds: LabeledDataset, path) -> None:
         ds.features.tolist(), *columns)))
 
 
+# csv.writer returns what its file's write returns: here, the line itself
+_CSV_LINE = csv.writer(types.SimpleNamespace(write=lambda line: line))
+
+
+def _line(row, numeric=frozenset((float, int)).issuperset) -> str:
+    """``row`` as csv writes it: csv writes an int or a float as its repr,
+    so a row of only those is joined without csv's per-field work."""
+    if numeric(map(type, row)):
+        return ",".join(map(repr, row)) + "\r\n"
+    return _CSV_LINE.writerow(row)
+
+
 def write_rows(path, header, rows) -> None:
-    """Write a header and then ``rows`` as CSV; csv writes a Python float as
-    its repr, the shortest exact form."""
+    """Write a header and then ``rows``, each a sequence, as CSV, line by line."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_line(header))
+        fh.writelines(map(_line, rows))
 
 
 def normalize_for_coverage(ds: LabeledDataset, preds: np.ndarray,

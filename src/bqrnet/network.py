@@ -155,13 +155,13 @@ def init_net(input_dim: int, trunk_widths: Sequence[int], grid: TauGrid,
 def _pass(net: QuantileNet, x: np.ndarray, pres, acts, z: np.ndarray) -> None:
     """Run rows through trunk layer i into ``pres[i]`` (pre-activations) and
     ``acts[i]`` (ReLU outputs, in place when the same array), then through
-    the heads into ``z``."""
+    the heads into ``z``. np.dot, unlike np.matmul, keeps a 1-input layer in BLAS."""
     a = x
     for w, b, pre, act in zip(net.trunk_w, net.trunk_b, pres, acts):
-        np.matmul(a, w.T, out=pre)
+        np.dot(a, w.T, out=pre)
         pre += b
         a = np.maximum(pre, 0.0, out=act)
-    np.matmul(a, net.head_w.T, out=z)
+    np.dot(a, net.head_w.T, out=z)
     z += net.head_b
 
 

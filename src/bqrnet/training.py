@@ -105,6 +105,7 @@ def lalr_eta(kz: float, lip: float) -> float:
     return 1.0 / (kz * lip)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence raises instead
 def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
           spec: losses.LossSpec, cfg: TrainConfig):
     """Run minibatch SGD on (n, d) features and their n 0/1 labels; returns
@@ -147,11 +148,14 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
                 raise TrainingDiverged(
                     f"non-finite network output at epoch {epoch}", trace)
             if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}", trace)
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}", trace)
             apply_step(net, grads, eta)
             epoch_loss += loss * len(idx)
-        acc = float(np.mean((forward(net, x)[:, col] > 0) == (y == 1.0)))
+        z = forward(net, x)
+        if not np.isfinite(z).all():
+            raise TrainingDiverged(f"non-finite network output at epoch {epoch}", trace)
+        acc = float(np.mean((z[:, col] > 0) == (y == 1.0)))
+        del z  # not held through the next epoch's batches
         trace.records.append(EpochRecord(epoch, epoch_loss / n, acc, eta, kz))
     return net, trace
 

@@ -302,7 +302,6 @@ class TestTrain:
         assert "single class" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_exit_code(self, tmp_path, capsys):
         out = tmp_path / "div"
         rc = run(["train", "--id", "D1", "--n", "100", "--seed", "0",
@@ -310,6 +309,29 @@ class TestTrain:
                   "--lr", "1e200", "--out", out])
         assert rc == EXIT_RUNTIME
         assert (out / "trace.csv").exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_divergence_in_the_last_step_exit_code(self, tmp_path, capsys):
+        # one batch, one epoch: the loss is finite, and only the epoch's
+        # accuracy forward meets the overflowed weights
+        out = tmp_path / "div"
+        rc = run(["train", "--id", "D1", "--n", "100", "--seed", "0",
+                  "--epochs", "1", "--batch-size", "100",
+                  "--lr", "1e200", "--out", out])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "error: non-finite network output at epoch 1 "
+            "(partial trace written)\n")
+        assert not (out / "checkpoint.npz").exists()
+
+    def test_divergent_noise_sweep_prints_one_line(self, tmp_path, capsys):
+        rc = run(["noise-sweep", "--id", "D1", "--n", "100", "--seed", "0",
+                  "--epochs", "2", "--batch-size", "16", "--lr", "1e200",
+                  "--fractions", "0", "--out", tmp_path / "sweep"])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestEvaluate:

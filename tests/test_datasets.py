@@ -17,7 +17,7 @@ from bqrnet.datasets import (GENERATORS, LabeledDataset, NoiseSpec,
                              flip_labels, fold_scaling, gen_dataset, load_csv,
                              normalize_for_coverage, resolve_threshold,
                              scale_features, threshold_labels,
-                             train_test_split, write_csv)
+                             train_test_split, write_csv, write_rows)
 from bqrnet.network import TauGrid, forward, init_net
 
 
@@ -302,6 +302,46 @@ class TestCsv:
         out = scale_features(np.array([[2.0], [2.0]]),
                              np.array([2.0]), np.array([2.0]))
         assert np.all(out == 0.0)
+
+
+# every kind of cell a caller might hand write_rows: a str may need quoting,
+# and the repr of a NumPy scalar, such as np.float64(0.1), is not its csv text
+CELLS = st.one_of(
+    st.integers(), st.floats(), st.sampled_from([-0.0, np.nan, np.inf, -np.inf]),
+    st.booleans(), st.none(),
+    st.floats().map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.text(st.sampled_from([",", '"', "\r", "\n", "a", " ", "\u00e9"]),
+            max_size=4))
+NUMBERS = st.one_of(st.integers(), st.floats())
+
+
+def csv_module_bytes(path, header, rows):
+    """The bytes csv.writer writes for a header and rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+class TestWriteRows:
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.lists(CELLS, max_size=4),
+           rows=st.lists(st.one_of(st.lists(NUMBERS, max_size=6),
+                                   st.lists(CELLS, max_size=6)), max_size=8))
+    def test_bytes_match_csv_writer(self, tmp_path_factory, header, rows):
+        tmp = tmp_path_factory.mktemp("rows")
+        write_rows(tmp / "out.csv", header, rows)
+        assert (tmp / "out.csv").read_bytes() == csv_module_bytes(
+            tmp / "ref.csv", header, rows)
+
+    @pytest.mark.parametrize("row", [[""], []])
+    def test_one_row(self, tmp_path, row):
+        # csv quotes a lone empty field, so that the line is not blank
+        write_rows(tmp_path / "out.csv", ["a"], [row])
+        assert (tmp_path / "out.csv").read_bytes() == csv_module_bytes(
+            tmp_path / "ref.csv", ["a"], [row])
 
 
 @st.composite

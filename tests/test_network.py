@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bqrnet.network import (QuantileNet, TauGrid, apply_step,
+from bqrnet.network import (DEFAULT_GRID, QuantileNet, TauGrid, apply_step,
                             backprop_from_outputs, forward, forward_cached,
                             init_net, load_checkpoint, save_checkpoint)
 
@@ -141,11 +141,30 @@ class TestForward:
 
 
 def forward_unblocked(net, x):
-    """The forward pass over all rows at once, as before row blocking."""
+    """The forward pass over all rows at once, as before row blocking, and
+    with np.matmul (``@``), as before ``_pass`` took np.dot."""
     a = x
     for w, b in zip(net.trunk_w, net.trunk_b):
         a = np.maximum(a @ w.T + b, 0.0)
     return a @ net.head_w.T + net.head_b
+
+
+class TestForwardBits:
+    # _pass multiplies with np.dot, which keeps a one-input layer in BLAS;
+    # the outputs must be the bits np.matmul gives
+    @pytest.mark.parametrize("input_dim", [1, 3])
+    @pytest.mark.parametrize("trunk, levels", [
+        ([64, 64], DEFAULT_GRID), ([256, 256], DEFAULT_GRID),
+        ([6, 5], (0.5,)), ([1], (0.25, 0.5, 0.75))])
+    def test_equal_to_matmul_reference(self, input_dim, trunk, levels):
+        net = init_net(input_dim, trunk, TauGrid(levels), seed=7)
+        rng = np.random.default_rng(input_dim)
+        net.params[:] = rng.normal(size=net.params.size)
+        for n in (1, 5, 128, 1024, 2500):
+            x = rng.uniform(-1.0, 1.0, (n, input_dim))
+            ref = forward_unblocked(net, x)
+            assert forward(net, x).tobytes() == ref.tobytes()
+            assert forward_cached(net, x)[0].tobytes() == ref.tobytes()
 
 
 class TestBlockedForward:

@@ -256,8 +256,8 @@ class TestTrain:
         assert not isinstance(epochs["fixed"], NotReached)
         assert epochs["lalr"] <= 0.5 * epochs["fixed"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_trace(self):
+        # and warns of nothing: the suite turns every warning into an error
         net = init_net(1, [4], TauGrid.default(), seed=9)
         net.trunk_w[0][:] = 1e300
         net.head_w[:] = 1e300
@@ -354,6 +354,23 @@ class TestTrain:
                 writer.writerow([r.epoch, repr(r.loss), repr(r.accuracy),
                                  repr(r.eta), repr(r.kz)])
         assert path.read_bytes() == ref.read_bytes()
+
+
+    def test_trace_csv_with_numpy_eta_matches_csv_writer(self, tmp_path):
+        # an np.float64 eta reaches the rows; csv writes it as 0.1, while its
+        # repr is np.float64(0.1) under numpy 2
+        x, y = two_blob_data(40)
+        net = init_net(1, [4], TauGrid.default(), seed=1)
+        _, trace = train(net, x, y, LossSpec(grid=TauGrid.default()),
+                         TrainConfig(epochs=2, batch_size=8, eta=np.float64(0.1)))
+        path, ref = tmp_path / "trace.csv", tmp_path / "ref.csv"
+        trace.to_csv(path)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["epoch", "loss", "accuracy", "eta", "kz"])
+            writer.writerows(map(dataclasses.astuple, trace.records))
+        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_text().splitlines()[1].split(",")[3] == "0.1"
 
 
 class TestEpochsToTarget:

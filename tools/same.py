@@ -11,7 +11,9 @@ from that side's src/; both sides run the script in this file.
 Every CLI invocation of STEPS runs in-process through ``bqrnet.cli.main``;
 its exit code, stdout and stderr are recorded, with the side's paths replaced
 by ``<src>`` and ``<work>``. STEPS opens with four larger ``train`` fits
-(FITS), each writing its checkpoint and every per-epoch record.
+(FITS), each writing its checkpoint and every per-epoch record. Later steps
+write numeric CSVs of thousands of rows, and reports whose dataset name csv
+must quote.
 
 Then every artifact is compared: exit codes, output streams and every file
 the steps wrote. A difference names its artifact and where it starts:
@@ -86,6 +88,8 @@ FITS = {
                            "--lr lalr",
 }
 
+ODD = 'odd,"name".csv'
+
 # text inputs written into each side's directory before the steps run
 INPUTS = {
     "bad.yaml": "a: [1\n",
@@ -114,12 +118,17 @@ INPUTS = {
     "bom.csv": "\ufefflabel,x\n" + "".join(
         f"{i % 2},{(i % 2) - 0.5 + i / 100:.2f}\n" for i in range(40)),
     "corrupt.npz": "PK\x03\x04" + "\0" * 60,
+    # a name that csv must quote in the reports' dataset column
+    ODD: "x0,latent,label\n" + "".join(
+        f"{x:.3f},{x * x - 0.3:.3f},{int(x * x > 0.3)}\n"
+        for x in (i / 40 - 1 for i in range(81))),
 }
 
 D3_FIT = "--id D3 --n 600 --seed 5 --trunk 16,16 --epochs 60 --batch-size 64"
 D1_CSV = "--data d1.csv --label-column label --latent-column latent"
 D3_CSV = "--data d3.csv --label-column label --latent-column latent"
 BLOBS_CSV = "--data smoke_blobs.csv --label-column label"
+ODD_CSV = f"--data {shlex.quote(ODD)} --label-column label --latent-column latent"
 CKPT = "--checkpoint train-id/checkpoint.npz"
 BCE = "--checkpoint train-bce/checkpoint.npz"
 
@@ -191,6 +200,15 @@ STEPS = [
                                "--bandwidth 1e300 --out smooth-1e300"),
     ("smooth-bandwidth-1.5e308", f"smooth --id D3 --n 20 --seed 9 {CKPT} "
                                  "--bandwidth 1.5e308 --out bad"),
+    # CSV writing at size: the joined numeric rows and the csv-quoted text
+    ("simulate-d1-10000", "simulate --id D1 --n 10000 --seed 3 "
+                          "--out d1_10000.csv"),
+    ("smooth-d1-2000", "smooth --id D1 --n 2000 --seed 11 "
+                       "--checkpoint train-csv/checkpoint.npz --out smooth-big"),
+    ("evaluate-quoted-name", f"evaluate {ODD_CSV} {CKPT} --out eval-odd"),
+    ("noise-sweep-quoted-name", f"noise-sweep {ODD_CSV} --trunk 4 --epochs 3 "
+                                "--batch-size 16 --fractions 0,0.2 "
+                                "--out sweep-odd"),
     ("diverge", "train --id D1 --n 100 --seed 0 --epochs 5 --batch-size 16 "
                 "--lr 1e200 --out diverge"),
     # bad input, each an exit 2
