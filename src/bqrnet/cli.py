@@ -393,7 +393,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         report, *notes = args.fn(cfg)
-    except (ValueError, OSError, training.TrainingDiverged) as exc:
+    except (ValueError, OSError, FloatingPointError, training.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         diverged = isinstance(exc, training.TrainingDiverged)
         return EXIT_RUNTIME if diverged else EXIT_VALIDATION

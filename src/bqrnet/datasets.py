@@ -172,13 +172,17 @@ def load_csv(path, label_column: str,
     class 0); the threshold may be any spec ``resolve_threshold`` accepts,
     taken over that response. Every other column except the latent one is
     a feature, returned as read: fitting scales features, whatever their
-    source. A NaN or infinite cell is a ValueError naming its row.
+    source. A NaN or infinite cell is a ValueError naming its row, and a
+    header that repeats a name is one naming that name.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         table = list(csv.reader(fh))
     if not table:
         raise ValueError("empty file: missing header row")
     header = [h.strip() for h in table[0]]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise ValueError(f"repeated column name(s): {', '.join(map(repr, repeated))}")
     if label_column not in header:
         raise ValueError(f"label column {label_column!r} not found in header")
     if latent_column is not None and latent_column not in header:

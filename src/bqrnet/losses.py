@@ -41,16 +41,26 @@ def _check_tau(tau):
     return tau
 
 
+def _link(z, tau):
+    """The ALD link's per-side terms, broadcast over (z, tau): ``pos`` is
+    z > 0, k = tau - 1 for z > 0 and k = tau for z <= 0, a = k z <= 0,
+    c = tau for z > 0 and c = 1 - tau for z <= 0, and ce = c e^a is the
+    probability of the label the sign of z disfavours. tau is not validated
+    here."""
+    pos = z > 0
+    k = np.where(pos, tau - 1.0, tau)
+    a = k * z
+    c = np.where(pos, tau, 1.0 - tau)
+    return pos, k, a, c, c * np.exp(a)
+
+
 def _bqr_terms(y, z, tau):
     """Per-level loss and d(loss)/dz in log space, broadcast over (y, z, tau).
 
-    With k = tau - 1 for z > 0 and k = tau for z <= 0, a = k z <= 0, and
-    c = tau for z > 0 and c = 1 - tau for z <= 0, the probability of the
-    label the sign of z disfavours is ce = c e^a. On the near side (the label
-    agrees with the sign of z) the loss is -log1p(-ce) with gradient
-    ce k / (1 - ce); on the far side it is -(log c + a) with gradient -k.
-    Both are exact for every finite z. ``y`` holds 0/1 labels; tau is not
-    validated here.
+    With the terms of ``_link``: on the near side (the label agrees with the
+    sign of z) the loss is -log1p(-ce) with gradient ce k / (1 - ce); on the
+    far side it is -(log c + a) with gradient -k. Both are exact for every
+    finite z. ``y`` holds 0/1 labels.
 
     In closed form (z = 0 takes the z <= 0 branch) the gradient is
       y=1, z>0:  -tau(1-tau) e^{(tau-1)z} / (1 - tau e^{(tau-1)z})
@@ -59,11 +69,7 @@ def _bqr_terms(y, z, tau):
       y=0, z<=0: tau(1-tau) e^{tau z} / (1 - (1-tau) e^{tau z})
     and its magnitude never exceeds max(tau, 1-tau).
     """
-    pos = z > 0
-    k = np.where(pos, tau - 1.0, tau)
-    a = k * z
-    c = np.where(pos, tau, 1.0 - tau)
-    ce = c * np.exp(a)
+    pos, k, a, c, ce = _link(z, tau)
     near = (y == 1) == pos
     loss = np.where(near, -np.log1p(-ce), -(np.log(c) + a))
     grad = np.where(near, ce * k / (1.0 - ce), -k)
@@ -81,11 +87,7 @@ def prob_pos(z, tau):
     for z <= 0. Continuous at 0 (both branches give 1 - tau) and strictly
     increasing in z.
     """
-    tau = _check_tau(tau)
-    z = np.asarray(z, dtype=float)
-    pos = z > 0
-    ce = np.where(pos, tau, 1.0 - tau) \
-        * np.exp(np.where(pos, tau - 1.0, tau) * z)
+    pos, *_, ce = _link(np.asarray(z, dtype=float), _check_tau(tau))
     return _scalar_or_array(np.where(pos, 1.0 - ce, ce))
 
 
@@ -180,26 +182,12 @@ def lipschitz_const(spec: LossSpec) -> float:
     return base
 
 
-@dataclasses.dataclass(frozen=True)
-class CurvatureBounds:
-    """Quadratic sandwich constants for the expected excess loss."""
+def curvature_bounds(tau: float, m_bound: float):
+    """(c1, c2): the lower and upper curvature constants of the expected
+    excess loss for latents bounded by m_bound.
 
-    c1: float
-    c2: float
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    m_bound: float
-    tau: float
-
-
-def curvature_bounds(tau: float, m_bound: float) -> CurvatureBounds:
-    """Lower/upper curvature constants for latents bounded by m_bound.
-
-    The four region-wise lower bounds on the second derivative of the
-    expected loss, minimized and halved, give c1; the global upper bound
-    tau*(1-tau), halved, gives c2.
+    The four region-wise lower bounds on its second derivative, minimized
+    and halved, give c1; the global upper bound tau*(1-tau), halved, gives c2.
     """
     t = float(_check_tau(tau))
     m = float(m_bound)
@@ -209,11 +197,7 @@ def curvature_bounds(tau: float, m_bound: float) -> CurvatureBounds:
     a2 = t ** 2 * (1 - t) * np.exp(-t * m) / (1 - (1 - t) * np.exp(-t * m))
     a3 = t * (1 - t) ** 3 * np.exp(-m) / (1 - t * np.exp(-(1 - t) * m)) ** 2
     a4 = t ** 3 * (1 - t) * np.exp(-m) / (1 - (1 - t) * np.exp(-m)) ** 2
-    c1 = 0.5 * min(a1, a2, a3, a4)
-    c2 = 0.5 * t * (1 - t)
-    return CurvatureBounds(c1=float(c1), c2=float(c2), a1=float(a1),
-                           a2=float(a2), a3=float(a3), a4=float(a4),
-                           m_bound=m, tau=t)
+    return float(0.5 * min(a1, a2, a3, a4)), 0.5 * t * (1 - t)
 
 
 def backward(net, x, y, spec: LossSpec):
@@ -222,7 +206,8 @@ def backward(net, x, y, spec: LossSpec):
 
     Returns (gradient, mean loss); the gradient is one vector laid out like
     ``net.params``. It matches central finite differences away from the
-    loss and ReLU kinks.
+    loss and ReLU kinks. A non-finite network output is ``forward_cached``'s
+    FloatingPointError.
     """
     from .network import backprop_from_outputs, forward_cached
 
@@ -233,8 +218,6 @@ def backward(net, x, y, spec: LossSpec):
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     z, acts, pres = forward_cached(net, x)
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("non-finite network output")
     loss, dz = _loss_and_grad(y, z, spec)
     dz /= x.shape[0]
     return backprop_from_outputs(net, acts, pres, dz), float(np.mean(loss))

@@ -152,10 +152,12 @@ def init_net(input_dim: int, trunk_widths: Sequence[int], grid: TauGrid,
     return net
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite output raises
 def _pass(net: QuantileNet, x: np.ndarray, pres, acts, z: np.ndarray) -> None:
     """Run rows through trunk layer i into ``pres[i]`` (pre-activations) and
     ``acts[i]`` (ReLU outputs, in place when the same array), then through
-    the heads into ``z``. np.dot, unlike np.matmul, keeps a 1-input layer in BLAS."""
+    the heads into ``z``; a FloatingPointError when an output is not finite.
+    np.dot, unlike np.matmul, keeps a 1-input layer in BLAS."""
     a = x
     for w, b, pre, act in zip(net.trunk_w, net.trunk_b, pres, acts):
         np.dot(a, w.T, out=pre)
@@ -163,6 +165,8 @@ def _pass(net: QuantileNet, x: np.ndarray, pres, acts, z: np.ndarray) -> None:
         a = np.maximum(pre, 0.0, out=act)
     np.dot(a, net.head_w.T, out=z)
     z += net.head_b
+    if not np.isfinite(z).all():
+        raise FloatingPointError("non-finite network output")
 
 
 def check_inputs(net: QuantileNet, x: np.ndarray) -> np.ndarray:
@@ -178,7 +182,8 @@ def check_inputs(net: QuantileNet, x: np.ndarray) -> np.ndarray:
 
 
 def forward(net: QuantileNet, x: np.ndarray) -> np.ndarray:
-    """The latent quantiles (n, m) of an (n, input_dim) batch.
+    """The latent quantiles (n, m) of an (n, input_dim) batch; a
+    FloatingPointError when one is not finite.
 
     Rows go through the trunk in blocks of FORWARD_BLOCK_ROWS, so the hidden
     activations of a large batch are never held at once.
@@ -259,14 +264,17 @@ def save_checkpoint(net: QuantileNet, path) -> None:
 
 def load_checkpoint(path) -> QuantileNet:
     """Read a ``save_checkpoint`` file; any other file, or one whose arrays
-    do not build a network, is a ValueError naming the path."""
+    do not build a network of finite parameters, is a ValueError naming the path."""
     try:
         with open(path, "rb") as fh, np.load(fh) as ckpt:
             meta = json.loads(bytes(ckpt["meta"].tobytes()).decode())
             version = meta["version"]
             if version == CHECKPOINT_VERSION:
-                return QuantileNet(meta["input_dim"], meta["trunk_widths"],
-                                   TauGrid(tuple(ckpt["grid"])), ckpt["params"])
+                net = QuantileNet(meta["input_dim"], meta["trunk_widths"],
+                                  TauGrid(tuple(ckpt["grid"])), ckpt["params"])
+                if not np.isfinite(net.params).all():
+                    raise ValueError("non-finite parameters")
+                return net
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
             EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: not a bqrnet checkpoint ({exc})") from exc

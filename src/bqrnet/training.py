@@ -19,7 +19,8 @@ LALR = "lalr"
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss goes non-finite; carries the trace so far."""
+    """Raised when the loss or a network output goes non-finite; carries the
+    trace so far."""
 
     def __init__(self, message, trace):
         super().__init__(message)
@@ -132,28 +133,25 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
-        first = order[:cfg.batch_size]
-        if cfg.lr_mode == LALR:
-            kz = estimate_kz(net, x[first])
-            eta = lalr_eta(kz, lip)
-        else:
-            kz = float("nan")
-            eta = cfg.eta
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            try:
+        try:
+            if cfg.lr_mode == LALR:
+                kz = estimate_kz(net, x[order[:cfg.batch_size]])
+                eta = lalr_eta(kz, lip)
+            else:
+                kz = float("nan")
+                eta = cfg.eta
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
                 grads, loss = losses.backward(net, x[idx], y[idx], spec)
-            except FloatingPointError:
-                raise TrainingDiverged(
-                    f"non-finite network output at epoch {epoch}", trace)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}", trace)
-            apply_step(net, grads, eta)
-            epoch_loss += loss * len(idx)
-        z = forward(net, x)
-        if not np.isfinite(z).all():
-            raise TrainingDiverged(f"non-finite network output at epoch {epoch}", trace)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}", trace)
+                apply_step(net, grads, eta)
+                epoch_loss += loss * len(idx)
+            z = forward(net, x)
+        except FloatingPointError:
+            raise TrainingDiverged(
+                f"non-finite network output at epoch {epoch}", trace)
         acc = float(np.mean((z[:, col] > 0) == (y == 1.0)))
         del z  # not held through the next epoch's batches
         trace.records.append(EpochRecord(epoch, epoch_loss / n, acc, eta, kz))

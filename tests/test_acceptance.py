@@ -303,8 +303,7 @@ class TestAC9PropertySuites:
         c1 = np.empty(n)
         c2 = np.empty(n)
         for i in range(n):
-            cb = bq.curvature_bounds(tau[i], m_bound[i])
-            c1[i], c2[i] = cb.c1, cb.c2
+            c1[i], c2[i] = bq.curvature_bounds(tau[i], m_bound[i])
         viol_lo = float((c1 * gap - excess).max())
         viol_hi = float((excess - c2 * gap).max())
         report(f"AC-9 curvature sandwich over 1e5 draws: lower excess "

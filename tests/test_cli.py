@@ -302,6 +302,15 @@ class TestTrain:
         assert "single class" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_column_name_rejected(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("label,x,label\n0,0.1,0\n1,0.9,1\n")
+        out = tmp_path / "run"
+        assert run(["train", "--data", data, "--label-column", "label",
+                    "--trunk", "4", "--epochs", "1", "--out", out]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: repeated column name(s): 'label'\n"
+        assert not out.exists()
+
     def test_divergent_run_exit_code(self, tmp_path, capsys):
         out = tmp_path / "div"
         rc = run(["train", "--id", "D1", "--n", "100", "--seed", "0",
@@ -375,6 +384,25 @@ class TestEvaluate:
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not a bqrnet checkpoint (")
+
+    # at 0.9.1 a NaN-params smooth exited 0 with delta 0.5 on every row, and
+    # evaluate wrote its CSVs before summary.json failed on the NaN
+    @pytest.mark.parametrize("command", ["evaluate", "smooth"])
+    @pytest.mark.parametrize("fill, error", [
+        (np.nan, "{path}: not a bqrnet checkpoint (non-finite parameters)"),
+        (1e200, "non-finite network output")], ids=["nan", "overflow"])
+    def test_non_finite_checkpoint_writes_nothing(self, trained, tmp_path,
+                                                  capsys, command, fill, error):
+        path = tmp_path / "bad.npz"
+        with np.load(trained / "checkpoint.npz") as ckpt:
+            params = np.full(ckpt["params"].size, fill)
+        rewrite_checkpoint(trained / "checkpoint.npz", path, params=params)
+        out = tmp_path / "out"
+        rc = run([command, "--id", "D3", "--n", "20", "--seed", "1",
+                  "--checkpoint", path, "--out", out])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {error.format(path=path)}\n"
+        assert not out.exists()
 
     def test_version_1_checkpoint_rejected(self, trained, tmp_path, capsys):
         # a version 1 file cannot say whether it expects scaled features

@@ -239,6 +239,23 @@ class TestCsv:
             from_text("x,lat,label\n0,0.5,0\n1,inf,1\n",
                       label_column="label", latent_column="lat")
 
+    @pytest.mark.parametrize("header, names", [
+        ("label,x,label", "'label'"), ("x, x,label", "'x'"),
+        ("x,label,x,label", "'label', 'x'")])
+    def test_repeated_column_names_rejected(self, from_text, header, names):
+        # the second label column was read as a feature: a label leak
+        row = ",".join("0" * len(header.split(",")))
+        with pytest.raises(ValueError) as info:
+            from_text(f"{header}\n{row}\n", label_column="label")
+        assert str(info.value) == f"repeated column name(s): {names}"
+
+    def test_label_column_may_be_the_latent_column(self, from_text):
+        ds = from_text("x,latent\n0,1.5\n1,2.5\n2,3.5\n", label_column="latent",
+                       threshold="median", latent_column="latent")
+        assert list(ds.labels) == [0, 0, 1]
+        assert list(ds.latent) == [1.5, 2.5, 3.5]
+        assert ds.column_names == ["x"]
+
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_csv("/nonexistent/file.csv", label_column="label")

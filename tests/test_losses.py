@@ -418,23 +418,23 @@ class TestLipschitz:
 
 class TestCurvatureBounds:
     def test_c2_at_half(self):
-        cb = curvature_bounds(0.5, 1.0)
-        assert cb.c2 == pytest.approx(0.125)
+        _, c2 = curvature_bounds(0.5, 1.0)
+        assert c2 == pytest.approx(0.125)
 
     def test_c1_formula_at_half(self):
         t, m = 0.5, 1.0
-        cb = curvature_bounds(t, m)
+        c1, _ = curvature_bounds(t, m)
         a1 = t * (1 - t) ** 2 * np.exp(-(1 - t) * m) / (1 - t * np.exp(-(1 - t) * m))
         a2 = t ** 2 * (1 - t) * np.exp(-t * m) / (1 - (1 - t) * np.exp(-t * m))
         a3 = t * (1 - t) ** 3 * np.exp(-m) / (1 - t * np.exp(-(1 - t) * m)) ** 2
         a4 = t ** 3 * (1 - t) * np.exp(-m) / (1 - (1 - t) * np.exp(-m)) ** 2
-        assert cb.c1 == pytest.approx(0.5 * min(a1, a2, a3, a4), rel=1e-12)
+        assert c1 == pytest.approx(0.5 * min(a1, a2, a3, a4), rel=1e-12)
 
     def test_c1_below_c2(self):
         rng = np.random.default_rng(4)
         for _ in range(500):
-            cb = curvature_bounds(rng.uniform(0.05, 0.95), rng.uniform(0.1, 10))
-            assert 0 < cb.c1 <= cb.c2
+            c1, c2 = curvature_bounds(rng.uniform(0.05, 0.95), rng.uniform(0.1, 10))
+            assert 0 < c1 <= c2
 
     def test_domain(self):
         with pytest.raises(ValueError, match="latent bound must be positive"):
@@ -493,6 +493,15 @@ class TestBackward:
         g0, _ = backward(net, x, y, LossSpec(grid=TauGrid.default(), lam=0.0))
         g5, _ = backward(net, x, y, LossSpec(grid=TauGrid.default(), lam=5.0))
         assert np.allclose(g0, g5)
+
+    @pytest.mark.parametrize("fill", [np.nan, 1e200], ids=["nan", "overflow"])
+    def test_non_finite_output_raises(self, fill):
+        net = init_net(1, [4], TauGrid.default(), seed=23)
+        net.params[:] = fill
+        with pytest.raises(FloatingPointError,
+                           match="^non-finite network output$"):
+            backward(net, np.ones((3, 1)), np.ones(3),
+                     LossSpec(grid=TauGrid.default()))
 
     def test_empty_batch_rejected(self):
         net = init_net(1, [4], TauGrid.default(), seed=23)

@@ -123,6 +123,16 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(net, np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("fill", [np.nan, 1e200], ids=["nan", "overflow"])
+    def test_non_finite_output_raises(self, fill):
+        # NaN parameters, or finite ones whose outputs overflow
+        net = init_net(1, [4], TauGrid.default(), seed=1)
+        net.params[:] = fill
+        for fn in (forward, forward_cached):
+            with pytest.raises(FloatingPointError,
+                               match="^non-finite network output$"):
+                fn(net, np.ones((3, 1)))
+
     def test_forward_cached_consistent(self):
         # forward reuses one buffer per layer for pre-activations and
         # activations; forward_cached must keep them apart
@@ -188,6 +198,16 @@ class TestBlockedForward:
         x = np.zeros((2500, 1))
         x[2100, 0] = np.nan
         with pytest.raises(ValueError):
+            forward(net, x)
+
+    def test_overflow_in_a_later_block_raises(self):
+        # every parameter 1: a row's outputs are 4 (x + 1) + 1
+        net = init_net(1, [4], TauGrid.default(), seed=1)
+        net.params[:] = 1.0
+        x = np.zeros((2500, 1))
+        assert np.all(forward(net, x) == 5.0)
+        x[2100, 0] = 1e308
+        with pytest.raises(FloatingPointError):
             forward(net, x)
 
     def test_input_left_unchanged(self):
@@ -431,6 +451,17 @@ class TestCheckpoint:
                 np.save(fh, np.zeros(3))
         with pytest.raises(ValueError, match="other.npz"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_rejected(self, tmp_path, value):
+        net = init_net(1, [4], TauGrid.default(), seed=1)
+        net.params[3] = value
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(net, path)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (
+            f"{path}: not a bqrnet checkpoint (non-finite parameters)")
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.npz"

@@ -3,6 +3,7 @@ behavior, and epochs-to-target reporting."""
 
 import csv
 import dataclasses
+import traceback
 
 import numpy as np
 import pytest
@@ -266,6 +267,18 @@ class TestTrain:
             train(net, x, y, LossSpec(grid=TauGrid.default()),
                   TrainConfig(epochs=3, batch_size=8, eta=1e10))
         assert isinstance(exc.value.trace, TrainTrace)
+
+    def test_overflow_in_the_first_kz_forward(self):
+        net = init_net(1, [4], TauGrid.default(), seed=9)
+        net.params[:] = 1e200
+        x, y = two_blob_data(20)
+        with pytest.raises(TrainingDiverged,
+                           match="^non-finite network output at epoch 1$") as exc:
+            train(net, x, y, LossSpec(grid=TauGrid.default()),
+                  TrainConfig(epochs=3, batch_size=8, lr_mode="lalr"))
+        assert exc.value.trace.records == []
+        raised_in = traceback.extract_tb(exc.value.__context__.__traceback__)
+        assert "estimate_kz" in [frame.name for frame in raised_in]
 
     def test_misaligned_inputs(self):
         net = init_net(1, [4], TauGrid.default(), seed=9)

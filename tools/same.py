@@ -115,6 +115,9 @@ INPUTS = {
     "non_numeric.csv": "x,label\nfoo,1\n",
     "non_finite.csv": "x0,label\n0.1,0\nnan,1\n0.5,1\n",
     "non_binary.csv": "x,label\n0,0.7\n",
+    # the second label column would be read as a feature
+    "repeated_label.csv": "label,x,label\n" + "".join(
+        f"{i % 2},{i / 20:.2f},{i % 2}\n" for i in range(20)),
     "bom.csv": "\ufefflabel,x\n" + "".join(
         f"{i % 2},{(i % 2) - 0.5 + i / 100:.2f}\n" for i in range(40)),
     "corrupt.npz": "PK\x03\x04" + "\0" * 60,
@@ -133,14 +136,17 @@ CKPT = "--checkpoint train-id/checkpoint.npz"
 BCE = "--checkpoint train-bce/checkpoint.npz"
 
 
-def _rewrite(src: str, dst: str, **meta):
+def _rewrite(src: str, dst: str, fill=None, **meta):
     """Copy checkpoint ``src`` to ``dst`` with meta keys replaced; a
-    ``params`` key gives a zero params vector of that length."""
+    ``params`` key gives a zero params vector of that length, and ``fill``
+    sets every parameter to that value."""
     import numpy as np
     with np.load(src) as ckpt:
         arrays = dict(ckpt)
     if "params" in meta:
         arrays["params"] = np.zeros(meta.pop("params"))
+    if fill is not None:
+        arrays["params"] = np.full_like(arrays["params"], fill)
     meta = {**json.loads(arrays["meta"].tobytes()), **meta}
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(dst, **arrays)
@@ -251,6 +257,16 @@ STEPS = [
     *((f"evaluate-checkpoint-{name}", f"evaluate --id D3 --n 20 --seed 1 "
                                       f"--checkpoint {name}.npz --out bad")
       for name in ("v1", "float_width", "str_dim", "wrong_length", "corrupt")),
+    # parameters that are not finite, or outputs that overflow: each command
+    # gets its own --out, so that whatever one writes is its own artifact
+    (_rewrite, "train-id/checkpoint.npz", "nan_params.npz", {"fill": float("nan")}),
+    (_rewrite, "train-id/checkpoint.npz", "overflow.npz", {"fill": 1e200}),
+    *((f"{cmd}-checkpoint-{name}", f"{cmd} --id D3 --n 20 --seed 1 "
+                                   f"--checkpoint {name}.npz --out {cmd}-{name}")
+      for cmd in ("evaluate", "smooth") for name in ("nan_params", "overflow")),
+    ("train-csv-repeated-label", "train --data repeated_label.csv "
+                                 "--label-column label --trunk 4 --epochs 1 "
+                                 "--out train-repeated-label"),
     ("noise-sweep-fraction", "noise-sweep --id D3 --n 100 --seed 4 "
                              "--fractions 0.7 --out bad"),
     *((f"lalr-bench-target-{t}", f"lalr-bench {BLOBS_CSV} --trunk 4 --epochs 3 "
