@@ -19,8 +19,7 @@ LALR = "lalr"
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss or a network output goes non-finite; carries the
-    trace so far."""
+    """Raised when the loss or an output goes non-finite; carries the trace."""
 
     def __init__(self, message, trace):
         super().__init__(message)
