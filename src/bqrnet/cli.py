@@ -17,6 +17,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import datasets, losses, metrics, network, smoothing, training
@@ -231,23 +232,25 @@ def cmd_train(cfg: dict):
 
 def cmd_evaluate(cfg: dict):
     ds, grid, preds = _score_setup(cfg)
-    out = _outdir(cfg)
     cov = None
     if ds.latent is None:
         print("note: no latent column; coverage table skipped")
     else:
         cov = metrics.coverage(*datasets.normalize_for_coverage(ds, preds, grid), grid)
-        cov.to_csv(out / "coverage.csv", dataset_name=ds.name)
     scores = smoothing.delta_scores(preds, grid)
     rep = metrics.delta_report(scores, ds.labels)
-    rep.to_csv(out / "delta_report.csv", dataset_name=ds.name)
-    metrics.summary_json(out / "summary.json", {
+    summary = {
         **_summary(cfg), "n": ds.n, "grid": list(grid.levels),
         "coverage": cov and cov.coverage, "delta_r2": rep.r2,
         "accuracy": metrics.accuracy(scores.predicted_label, ds.labels),
         "auc": metrics.roc_auc(preds[:, grid.median_index], ds.labels),
         "misclassification_per_threshold": rep.misclassification,
-        "retention_per_threshold": rep.retention})
+        "retention_per_threshold": rep.retention}
+    out = _outdir(cfg)
+    if cov is not None:
+        cov.to_csv(out / "coverage.csv", dataset_name=ds.name)
+    rep.to_csv(out / "delta_report.csv", dataset_name=ds.name)
+    metrics.summary_json(out / "summary.json", summary)
     return f"wrote coverage/delta reports and summary.json to {out}",
 
 
@@ -259,7 +262,7 @@ def cmd_noise_sweep(cfg: dict):
     tcfg = _train_config(cfg)
     rows = {"bce": [], "bqr": []}
     for noise in noises:
-        noisy = datasets.flip_labels(ds, noise) if noise.flip_fraction > 0 else ds
+        noisy = datasets.flip_labels(ds, noise)
         for kind, accs in rows.items():
             net, spec = fresh(kind)
             net, _ = training.train(net, noisy.features, noisy.labels, spec, tcfg)
@@ -363,7 +366,7 @@ OPTIONS = (
 # Each option but --config (the first) sets the config key of its dest. The
 # key's kind is the flag's type, or text where it has none, but for the keys
 # named below; [kind] is a list of that kind.
-_DEST = {flag: kw.get("dest", flag[2:].replace("-", "_")) for flag, kw, _ in OPTIONS[1:]}
+_DEST = {f: kw.get("dest", f[2:].replace("-", "_")) for f, kw, _ in OPTIONS[1:]}
 _KINDS = {_DEST[flag]: kw.get("type", str) for flag, kw, _ in OPTIONS[1:]} | {
     "threshold": (str, float), "lr": (str, float),
     "trunk": [int], "grid": [float], "fractions": [float]}
@@ -388,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(over="raise", invalid="raise")  # a NaN or inf result exits 2 unwritten
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

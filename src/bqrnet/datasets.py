@@ -33,7 +33,10 @@ class LabeledDataset:
             raise ValueError("features must be an (n, d) array of at least "
                              f"one row, not shape {self.features.shape}")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int)
+            labels = np.asarray(self.labels)
+            if labels.shape != (self.n,) or not ((labels == 0) | (labels == 1)).all():
+                raise ValueError("labels must be n values of 0 or 1")
+            self.labels = np.asarray(labels, dtype=int)
 
     @property
     def n(self) -> int:

@@ -63,12 +63,10 @@ def r_squared(observed, predicted) -> Optional[float]:
 
 @dataclasses.dataclass
 class DeltaBinReport:
-    """Figures per threshold and per bin, both at DELTA_BIN_CENTERS."""
+    """Figures per threshold at DELTA_BIN_CENTERS, and the per-bin fit's r2."""
 
     misclassification: list  # per threshold; None when nothing retained
     retention: list
-    bin_mean_delta: list  # per bin; None when empty
-    bin_misclassification: list
     r2: Optional[float]
 
     def to_csv(self, path, dataset_name: str = ""):
@@ -109,9 +107,7 @@ def delta_report(scores, labels) -> DeltaBinReport:
     pred = [0.5 - d for d in bin_mean_delta if d is not None]
     r2 = r_squared(obs, pred) if len(obs) >= 2 else None
     return DeltaBinReport(misclassification=m_r,
-                          retention=(kept / deltas.size).tolist(),
-                          bin_mean_delta=bin_mean_delta,
-                          bin_misclassification=bin_m, r2=r2)
+                          retention=(kept / deltas.size).tolist(), r2=r2)
 
 
 def roc_auc(scores, labels) -> Optional[float]:

@@ -348,7 +348,7 @@ class TestAC9PropertySuites:
 
     def test_smoothing_weights_vs_quadrature(self):
         sq = smooth(np.arange(9.0), GRID, h=0.1)
-        knots = sq._knots
+        knots = [0.0, *((a + b) / 2 for a, b in zip(GRID.levels, GRID.levels[1:])), 1.0]
         rng = np.random.default_rng(94)
         worst = 0.0
         for tau in rng.uniform(0.01, 0.99, 25):

@@ -386,11 +386,15 @@ class TestEvaluate:
         assert err.startswith(f"error: {path}: not a bqrnet checkpoint (")
 
     # at 0.9.1 a NaN-params smooth exited 0 with delta 0.5 on every row, and
-    # evaluate wrote its CSVs before summary.json failed on the NaN
+    # evaluate wrote its CSVs before summary.json failed on the NaN; at 0.10.0
+    # finite outputs of about 3e302 (huge) gave smooth a NaN variance and
+    # evaluate a coverage of 0.6 at every level, both with exit 0
     @pytest.mark.parametrize("command", ["evaluate", "smooth"])
     @pytest.mark.parametrize("fill, error", [
         (np.nan, "{path}: not a bqrnet checkpoint (non-finite parameters)"),
-        (1e200, "non-finite network output")], ids=["nan", "overflow"])
+        (1e200, "non-finite network output"),
+        (1e100, "overflow encountered in square")],
+        ids=["nan", "overflow", "huge"])
     def test_non_finite_checkpoint_writes_nothing(self, trained, tmp_path,
                                                   capsys, command, fill, error):
         path = tmp_path / "bad.npz"
@@ -554,6 +558,18 @@ class TestLalrBench:
         assert rc == 0
         line = (out / "lalr_bench.csv").read_text().splitlines()[1]
         assert "N/A (" in line
+
+    def test_config_loss_is_ignored(self, tmp_path):
+        # lalr-bench takes no --loss; at 0.10.0 a config's loss: bce trained
+        # every arm with BCE
+        config = tmp_path / "cfg.yaml"
+        config.write_text("loss: bce\n")
+        flags = ["lalr-bench", "--id", "D1", "--n", "200", "--seed", "2",
+                 "--trunk", "4", "--epochs", "20", "--target-acc", "0.8"]
+        for extra, out in (([], "flags"), (["--config", config], "config")):
+            assert run(flags + extra + ["--out", tmp_path / out]) == 0
+        assert (tmp_path / "config" / "lalr_bench.csv").read_bytes() \
+            == (tmp_path / "flags" / "lalr_bench.csv").read_bytes()
 
     @pytest.mark.parametrize("target", ["nan", "5"])
     def test_target_acc_outside_unit_interval(self, tmp_path, capsys, target):
@@ -780,10 +796,13 @@ class TestFlags:
     @pytest.mark.parametrize("key, value", [
         ("epochs", "null"), ("epochs", "2.7"), ("epochs", "true"),
         ("trunk", "[4, null]"), ("n", "[100]"), ("seed", '"3"'),
-        ("threshold", "true")])
+        ("threshold", "true"), ("label_column", ".nan"),
+        ("latent_column", "2024-01-01")])
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key,
                                                  value):
-        # each of these ended in a traceback, or was read as another value
+        # each of these ended in a traceback, or was read as another value;
+        # the last two are read only into train_summary.json, which at 0.10.0
+        # failed on them after the checkpoint was written
         settings = {"dataset_id": "D1", "n": 100, "epochs": 1, "trunk": "[4]",
                     key: value}
         config = tmp_path / "cfg.yaml"
@@ -791,8 +810,23 @@ class TestFlags:
         out = tmp_path / "run"
         assert run(["train", "--config", config, "--out", out]) \
             == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_other_commands_keys_are_dropped(self, tmp_path):
+        # they reach neither the command nor train_summary.json; at 0.10.0 a
+        # date ended train in a traceback after the checkpoint was written
+        config = tmp_path / "cfg.yaml"
+        config.write_text("bandwidth: 2024-01-01\npi_level: .nan\n"
+                          "checkpoint: run.npz\nfractions: [0.1]\n")
+        flags = ["train", "--id", "D1", "--n", "100", "--epochs", "1",
+                 "--trunk", "4", "--out", tmp_path / "run"]
+        summaries = []
+        for extra in ([], ["--config", config]):
+            assert run(flags + extra) == 0
+            summaries.append((tmp_path / "run" / "train_summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
 
     def test_config_values_of_each_accepted_type(self, tmp_path):
         # an int for a float, a number for lr and threshold, a single value

@@ -110,6 +110,13 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="features must be an"):
             LabeledDataset(features=features)
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.0], [0, 1, 1], [[0], [1]],
+                                        [0, 2], [0, np.nan]])
+    def test_labels_must_be_n_binary_values(self, labels):
+        # 0.7 was stored as 0, and a third label was kept
+        with pytest.raises(ValueError, match="labels must be n values of 0 or 1"):
+            LabeledDataset(features=np.zeros((2, 1)), labels=labels)
+
 
 class TestFlipLabels:
     @pytest.fixture

@@ -100,6 +100,10 @@ INPUTS = {
     "key_misspelt.yaml": "bandwith: 0.3\n",
     "key_config.yaml": "config: other.yaml\ndataset_id: D1\nn: 10\n",
     "not_mapping.yaml": "- 1\n- 2\n",
+    # values that only train_summary.json reads, and a key lalr-bench lacks
+    "nan_label_column.yaml": "label_column: .nan\n",
+    "date_latent_column.yaml": "latent_column: 2024-01-01\n",
+    "loss_bce.yaml": "loss: bce\n",
     "accepted_types.yaml": "dataset_id: D1\nn: 100\nepochs: 2\nlam: 1\n"
                            "lr: 0.05\nthreshold: 0.1\ntrunk: 4\n"
                            "grid: 0.25,0.5,0.75\nloss: bqr\n",
@@ -198,6 +202,9 @@ STEPS = [
     ("lalr-bench-csv", f"lalr-bench {BLOBS_CSV} --grid 0.5 --lam 0 --trunk 8 "
                        "--epochs 300 --batch-size 64 --seed 6 "
                        "--target-acc 0.99 --out bench-csv"),
+    ("lalr-bench-config-loss-bce", "lalr-bench --config loss_bce.yaml --id D1 "
+                                   "--n 300 --seed 2 --trunk 8 --epochs 30 "
+                                   "--target-acc 0.9 --out bench-loss-bce"),
     ("smooth-id", f"smooth --id D3 --n 40 --seed 9 {CKPT} --out smooth-id"),
     ("smooth-csv", f"smooth {D3_CSV} {CKPT} --bandwidth 0.05 --pi-level 0.2 "
                    "--out smooth-csv"),
@@ -261,9 +268,14 @@ STEPS = [
     # gets its own --out, so that whatever one writes is its own artifact
     (_rewrite, "train-id/checkpoint.npz", "nan_params.npz", {"fill": float("nan")}),
     (_rewrite, "train-id/checkpoint.npz", "overflow.npz", {"fill": 1e200}),
+    (_rewrite, "train-id/checkpoint.npz", "huge.npz", {"fill": 1e100}),
     *((f"{cmd}-checkpoint-{name}", f"{cmd} --id D3 --n 20 --seed 1 "
                                    f"--checkpoint {name}.npz --out {cmd}-{name}")
-      for cmd in ("evaluate", "smooth") for name in ("nan_params", "overflow")),
+      for cmd in ("evaluate", "smooth")
+      for name in ("nan_params", "overflow", "huge")),
+    *((f"train-config-{name}", f"train --config {name}.yaml --id D1 --n 100 "
+                               f"--epochs 1 --trunk 4 --out train-{name}")
+      for name in ("nan_label_column", "date_latent_column")),
     ("train-csv-repeated-label", "train --data repeated_label.csv "
                                  "--label-column label --trunk 4 --epochs 1 "
                                  "--out train-repeated-label"),
