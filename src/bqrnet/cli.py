@@ -52,8 +52,9 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 
 def _resolve(args: argparse.Namespace) -> dict:
     """The config file's values of the command's keys, overridden by every
-    flag it was given, each checked against its kind. A file key must be one
-    of CONFIG_KEYS; the command drops those of other commands."""
+    flag it was given, each checked against its kind, and seed for its sign.
+    A file key must be one of CONFIG_KEYS; the command drops those of other
+    commands."""
     out = {}
     if args.config is not None:
         with open(args.config, "rb") as fh:
@@ -76,6 +77,8 @@ def _resolve(args: argparse.Namespace) -> dict:
                if val is not None and key not in ("command", "fn", "config"))
     for key in out:
         _get(out, key)
+    if out.get("seed", 0) < 0:
+        raise ValueError(f"seed must be a non-negative int, not {out['seed']}")
     return out
 
 
@@ -148,14 +151,12 @@ def _load_dataset(cfg: dict, default_n: int = 7000):
 
 
 def _train_config(cfg: dict) -> training.TrainConfig:
-    mode = str(_get(cfg, "lr", "lalr")).lower()
-    eta = 0.1
-    if mode not in (training.FIXED, training.LALR):
+    mode, eta = str(_get(cfg, "lr", "lalr")).lower(), 0.1
+    if mode != training.LALR:
         try:
-            eta = float(mode)
+            mode, eta = training.FIXED, float(mode)
         except ValueError:
             raise ValueError(f"bad lr {mode!r}: use 'lalr' or a number")
-        mode = training.FIXED
     return training.TrainConfig(
         epochs=_get(cfg, "epochs", 500),
         batch_size=_get(cfg, "batch_size", 128),

@@ -12,6 +12,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .losses import check_labels
 from .network import QuantileNet, TauGrid
 
 
@@ -33,10 +34,7 @@ class LabeledDataset:
             raise ValueError("features must be an (n, d) array of at least "
                              f"one row, not shape {self.features.shape}")
         if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.shape != (self.n,) or not ((labels == 0) | (labels == 1)).all():
-                raise ValueError("labels must be n values of 0 or 1")
-            self.labels = np.asarray(labels, dtype=int)
+            self.labels = check_labels(self.labels, self.n).astype(int)
 
     @property
     def n(self) -> int:

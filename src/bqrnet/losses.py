@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 
-from .network import TauGrid
+from .network import TauGrid, check_inputs
 
 BQR = "bqr"
 BCE = "bce"
@@ -32,6 +32,15 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.kind == BCE and self.grid.levels != (0.5,):
             raise ValueError("cross-entropy baseline uses the single level 0.5")
+
+
+def check_labels(y, n: int) -> np.ndarray:
+    """``y`` as float64: the labels rule of every entry point. Anything but
+    n values of 0 or 1 is a ValueError."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,) or not ((y == 0.0) | (y == 1.0)).all():  # NaN fails too
+        raise ValueError(f"expected {n} labels of 0 or 1, got shape {y.shape}")
+    return y
 
 
 def _check_tau(tau):
@@ -108,17 +117,19 @@ def _hinge(values):
 
 
 def _loss_and_grad(y, z, spec: LossSpec):
-    """Per-sample total loss and d(total loss)/dz for labels y (n,) and
-    predictions z (n, m), in one pass.
+    """Per-sample total loss and d(total loss)/dz for n labels y and an
+    (n, m) prediction matrix z, in one pass.
 
     The BQR loss sums the per-level log-space terms of ``_bqr_terms`` and
     adds lam times the crossing hinge, whose subgradient goes into the
     gradient in place. The cross-entropy baseline scores the single output
     as a logit: log(1 + e^z) - y z, with gradient sigmoid(z) - y.
     """
-    if y.ndim != 1 or z.shape != (y.size, len(spec.grid)):
-        raise ValueError(f"expected n labels and (n, {len(spec.grid)}) "
-                         f"predictions, got shapes {y.shape} and {z.shape}")
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 2 or z.shape[1] != len(spec.grid):
+        raise ValueError(f"expected (n, {len(spec.grid)}) predictions, "
+                         f"got shape {z.shape}")
+    y = check_labels(y, z.shape[0])
     if spec.kind == BCE:
         z0 = z[:, 0]
         grad = np.zeros_like(z)
@@ -142,16 +153,12 @@ def total_loss(y, pred, spec: LossSpec):
     For the cross-entropy baseline the single output is a logit scored with
     standard binary cross-entropy.
     """
-    loss, _ = _loss_and_grad(np.asarray(y, dtype=float),
-                             np.asarray(pred, dtype=float), spec)
-    return loss
+    return _loss_and_grad(y, pred, spec)[0]
 
 
 def total_grad(y, pred, spec: LossSpec):
     """d(total_loss)/d(pred), shape (n, m)."""
-    _, grad = _loss_and_grad(np.asarray(y, dtype=float),
-                             np.asarray(pred, dtype=float), spec)
-    return grad
+    return _loss_and_grad(y, pred, spec)[1]
 
 
 def _sigmoid(z):
@@ -206,17 +213,13 @@ def backward(net, x, y, spec: LossSpec):
 
     Returns (gradient, mean loss); the gradient is one vector laid out like
     ``net.params``. It matches central finite differences away from the
-    loss and ReLU kinks. A non-finite network output is ``forward_cached``'s
-    FloatingPointError.
+    loss and ReLU kinks. Bad features or labels are a ValueError, and a
+    non-finite network output is ``forward_cached``'s FloatingPointError.
     """
+    # looked up at call time, where a profiler may have wrapped them
     from .network import backprop_from_outputs, forward_cached
 
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise ValueError(f"expected (n, d) features and n labels, got shapes "
-                         f"{x.shape} and {y.shape}")
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
+    x = check_inputs(net, x)
     z, acts, pres = forward_cached(net, x)
     loss, dz = _loss_and_grad(y, z, spec)
     dz /= x.shape[0]

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .datasets import write_rows
+from .losses import check_labels
 from .network import TauGrid
 
 DELTA_BIN_CENTERS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -41,11 +42,10 @@ def coverage(norm_latent, norm_preds, grid: TauGrid) -> CoverageTable:
 
 
 def accuracy(predicted, actual) -> float:
-    predicted = np.asarray(predicted, dtype=int)
-    actual = np.asarray(actual, dtype=int)
-    if predicted.shape != actual.shape:
-        raise ValueError("prediction and label vectors are misaligned")
-    if predicted.size == 0:
+    """Share of n predicted 0/1 labels equal to the n actual ones."""
+    actual = check_labels(actual, np.size(predicted))
+    predicted = check_labels(predicted, actual.size)
+    if actual.size == 0:
         raise ValueError("accuracy of an empty sample is undefined")
     return float(np.mean(predicted == actual))
 
@@ -89,10 +89,8 @@ def delta_report(scores, labels) -> DeltaBinReport:
     nearest center. ``scores`` is the ConfidenceScores of
     smoothing.delta_scores.
     """
-    labels = np.asarray(labels, dtype=int)
     deltas = np.asarray(scores.delta, dtype=float)
-    if deltas.shape != labels.shape:
-        raise ValueError("scores and labels are misaligned")
+    labels = check_labels(labels, deltas.size)
     wrong = np.asarray(scores.predicted_label) != labels
     centers = np.asarray(DELTA_BIN_CENTERS)
     # (thresholds, rows): the rows kept at each threshold
@@ -115,16 +113,17 @@ def roc_auc(scores, labels) -> Optional[float]:
     counting half (the Mann-Whitney pair count). None when one class is
     absent, NaN when a score is NaN."""
     scores = np.asarray(scores, dtype=float)
-    pos = np.asarray(labels, dtype=int) == 1
+    pos = check_labels(labels, scores.size) == 1.0
     n_pos = int(pos.sum())
     n_neg = pos.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
     if np.isnan(scores).any():
         return float("nan")
-    neg = np.sort(scores[~pos])
-    below = np.searchsorted(neg, scores[pos], side="left")
-    tied = np.searchsorted(neg, scores[pos], side="right") - below
+    # positives in order too: the same counts, found faster
+    neg, top = np.sort(scores[~pos]), np.sort(scores[pos])
+    below = np.searchsorted(neg, top, side="left")
+    tied = np.searchsorted(neg, top, side="right") - below
     return float((below.sum() + 0.5 * tied.sum()) / (n_pos * n_neg))
 
 
@@ -137,10 +136,10 @@ def roc_auc_at_delta(scores, labels, confidence,
     if not 0.0 <= delta_min <= 0.5:
         raise ValueError("delta_min must lie in [0, 0.5]")
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = check_labels(labels, scores.size)
     deltas = np.asarray(confidence.delta, dtype=float)
-    if not (scores.shape[0] == labels.shape[0] == deltas.shape[0]):
-        raise ValueError("scores, labels, and confidence are misaligned")
+    if deltas.shape != scores.shape:
+        raise ValueError("scores and confidence are misaligned")
     keep = deltas >= delta_min
     return roc_auc(scores[keep], labels[keep])
 

@@ -170,14 +170,13 @@ def _pass(net: QuantileNet, x: np.ndarray, pres, acts, z: np.ndarray) -> None:
 
 
 def check_inputs(net: QuantileNet, x: np.ndarray) -> np.ndarray:
-    """``x`` as float64 rows of ``net.input_dim`` features: a ValueError for
-    any other shape or a non-finite feature."""
+    """``x`` as float64: the features rule of every entry point. Anything but
+    one or more rows of ``net.input_dim`` finite features is a ValueError."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ValueError(
-            f"expected inputs with {net.input_dim} features, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("inputs must be finite")
+    if (x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != net.input_dim
+            or not np.isfinite(x).all()):
+        raise ValueError(f"expected one or more rows of {net.input_dim} "
+                         f"finite features, got shape {x.shape}")
     return x
 
 

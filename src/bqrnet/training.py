@@ -83,10 +83,7 @@ def estimate_kz(net: QuantileNet, x: np.ndarray) -> float:
     bias coordinates). Each head's own bias has gradient exactly 1, so the
     bound is never below 1.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError(f"expected a non-empty (n, d) batch, got shape {x.shape}")
-    _, acts, pres = forward_cached(net, x)
+    _, acts, pres = forward_cached(net, check_inputs(net, x))
     # per-row max(|a|, 1) of each layer's input; the last entry also bounds
     # every head's own gradient (trunk output activations and 1 for the bias)
     a_scale = [np.maximum(np.abs(a).max(axis=1), 1.0) for a in acts]
@@ -115,13 +112,8 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
     head under BCE) on the training set. In lalr mode k_z is re-estimated
     once per epoch from the first shuffled batch.
     """
-    x, y = check_inputs(net, x), np.asarray(y, dtype=float)
-    if y.shape != x.shape[:1]:
-        raise ValueError("features and labels are misaligned")
-    if x.shape[0] == 0:
-        raise ValueError("empty dataset")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("labels must be 0 or 1")
+    x = check_inputs(net, x)
+    y = losses.check_labels(y, x.shape[0])
     if spec.grid != net.grid:
         raise ValueError("the loss grid differs from the network's grid")
     col = net.grid.median_index

@@ -292,6 +292,19 @@ class TestTrain:
         assert "finite" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--lr", "fixed"], ""), (["--lr", "FIXED"], ""), ([], "lr: fixed\n")])
+    def test_lr_fixed_is_not_a_rate(self, tmp_path, capsys, flags, config):
+        # the mode's name trained silently at 0.1
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--id", "D1", "--n", "100",
+                    "--epochs", "1", *flags, "--out", out]) == EXIT_VALIDATION
+        assert capsys.readouterr().err \
+            == "error: bad lr 'fixed': use 'lalr' or a number\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "noise-sweep", "lalr-bench"])
     def test_single_class_labels_rejected(self, tmp_path, capsys, command):
         # a threshold beyond the response range leaves one class to fit
@@ -813,6 +826,21 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        # NumPy's "expected non-negative integer" named no key
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: -1\n")
+        out = tmp_path / "run"
+        flags = [command, "--id", "D1", "--n", "20", "--out", out]
+        if command in ("evaluate", "smooth"):
+            flags += ["--checkpoint", tmp_path / "absent.npz"]
+        for seed in (["--seed", "-1"], ["--config", cfg]):
+            assert run(flags + seed) == EXIT_VALIDATION
+            assert capsys.readouterr().err \
+                == "error: seed must be a non-negative int, not -1\n"
+            assert not out.exists()
 
     def test_other_commands_keys_are_dropped(self, tmp_path):
         # they reach neither the command nor train_summary.json; at 0.10.0 a

@@ -114,7 +114,7 @@ class TestLabeledDataset:
                                         [0, 2], [0, np.nan]])
     def test_labels_must_be_n_binary_values(self, labels):
         # 0.7 was stored as 0, and a third label was kept
-        with pytest.raises(ValueError, match="labels must be n values of 0 or 1"):
+        with pytest.raises(ValueError, match="^expected 2 labels of 0 or 1, "):
             LabeledDataset(features=np.zeros((2, 1)), labels=labels)
 
 

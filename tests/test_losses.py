@@ -368,13 +368,15 @@ class TestFusedKernel:
             _loss_and_grad(np.zeros(2), np.zeros((2, 3)), spec)
 
     @pytest.mark.parametrize("fn", [total_loss, total_grad])
-    @pytest.mark.parametrize("y, pred", [
-        (1.0, np.zeros(9)), (np.ones(1), np.zeros(9)),
-        (np.ones(3), np.zeros((2, 9))), (np.ones((2, 1)), np.zeros((2, 9)))])
-    def test_only_aligned_batches(self, fn, y, pred):
+    @pytest.mark.parametrize("y, pred, match", [
+        (1.0, np.zeros(9), r"\(n, 9\) predictions"),
+        (np.ones(1), np.zeros(9), r"\(n, 9\) predictions"),
+        (np.ones(3), np.zeros((2, 9)), "expected 2 labels of 0 or 1"),
+        (np.ones((2, 1)), np.zeros((2, 9)), "expected 2 labels of 0 or 1")])
+    def test_only_aligned_batches(self, fn, y, pred, match):
         # one row is a (1, m) batch: a vector of m predictions is rejected,
         # and so are labels that are not one per row
-        with pytest.raises(ValueError, match=r"\(n, 9\) predictions"):
+        with pytest.raises(ValueError, match=match):
             fn(y, pred, LossSpec(grid=TauGrid.default()))
 
 

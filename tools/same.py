@@ -241,6 +241,10 @@ STEPS = [
                                 f"{value} --out bad")
       for flag in ("lr", "lam", "threshold") for value in ("nan", "inf")),
     ("train-bad-lr", "train --id D1 --n 100 --epochs 1 --lr fast --out bad"),
+    ("train-lr-fixed", "train --id D1 --n 100 --epochs 1 --lr fixed "
+                       "--out train-lr-fixed"),
+    ("train-negative-seed", "train --id D1 --n 100 --epochs 1 --seed -1 "
+                            "--out train-negative-seed"),
     ("train-trunk-empty", "train --id D1 --n 100 --epochs 1 --trunk '' --out bad"),
     ("train-trunk-4x", "train --id D1 --n 100 --epochs 1 --trunk 4,x --out bad"),
     ("train-grid-x", "train --id D1 --n 100 --epochs 1 --grid 0.5,x --out bad"),
