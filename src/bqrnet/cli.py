@@ -77,8 +77,9 @@ def _resolve(args: argparse.Namespace) -> dict:
                if val is not None and key not in ("command", "fn", "config"))
     for key in out:
         _get(out, key)
-    if out.get("seed", 0) < 0:
-        raise ValueError(f"seed must be a non-negative int, not {out['seed']}")
+    seed = out.get("seed")  # a null seed is the command's own type error
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be a non-negative int, not {seed}")
     return out
 
 

@@ -38,7 +38,8 @@ def check_labels(y, n: int) -> np.ndarray:
     """``y`` as float64: the labels rule of every entry point. Anything but
     n values of 0 or 1 is a ValueError."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (n,) or not ((y == 0.0) | (y == 1.0)).all():  # NaN fails too
+    # every nonzero value a 1: NaN counts as nonzero, so it fails too
+    if y.shape != (n,) or np.count_nonzero(y) != np.count_nonzero(y == 1.0):
         raise ValueError(f"expected {n} labels of 0 or 1, got shape {y.shape}")
     return y
 

@@ -174,7 +174,7 @@ def check_inputs(net: QuantileNet, x: np.ndarray) -> np.ndarray:
     one or more rows of ``net.input_dim`` finite features is a ValueError."""
     x = np.asarray(x, dtype=float)
     if (x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != net.input_dim
-            or not np.isfinite(x).all()):
+            or np.count_nonzero(np.isfinite(x)) != x.size):
         raise ValueError(f"expected one or more rows of {net.input_dim} "
                          f"finite features, got shape {x.shape}")
     return x

@@ -809,7 +809,7 @@ class TestFlags:
     @pytest.mark.parametrize("key, value", [
         ("epochs", "null"), ("epochs", "2.7"), ("epochs", "true"),
         ("trunk", "[4, null]"), ("n", "[100]"), ("seed", '"3"'),
-        ("threshold", "true"), ("label_column", ".nan"),
+        ("seed", "null"), ("threshold", "true"), ("label_column", ".nan"),
         ("latent_column", "2024-01-01")])
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key,
                                                  value):

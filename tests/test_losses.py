@@ -6,13 +6,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
 from bqrnet.losses import (BCE, BQR, LossSpec, _bqr_terms, _hinge,
-                           _loss_and_grad, backward, bqr_loss,
+                           _loss_and_grad, backward, bqr_loss, check_labels,
                            curvature_bounds, lipschitz_const, prob_pos,
                            total_grad, total_loss)
 from bqrnet.network import TauGrid, forward, init_net
@@ -378,6 +378,24 @@ class TestFusedKernel:
         # and so are labels that are not one per row
         with pytest.raises(ValueError, match=match):
             fn(y, pred, LossSpec(grid=TauGrid.default()))
+
+
+class TestCheckLabels:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 6), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0]), st.floats())))
+    @example(np.array([1.0, np.nextafter(1.0, 0.0)]))
+    @example(np.array([1.0, np.nextafter(1.0, 2.0)]))
+    @example(np.array([0.0, 5e-324, 1.0]))
+    @example(np.array([0.0, np.inf, 1.0]))
+    def test_accepts_exactly_zeros_and_ones(self, y):
+        # the rule counts nonzero values against ones; this is its
+        # value-by-value reading
+        if all(v in (0.0, 1.0) for v in y.tolist()):
+            assert np.array_equal(check_labels(y, y.size), y)
+        else:
+            with pytest.raises(ValueError, match="labels of 0 or 1"):
+                check_labels(y, y.size)
 
 
 class TestLipschitz:
