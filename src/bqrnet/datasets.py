@@ -13,7 +13,17 @@ from typing import Optional, Union
 import numpy as np
 
 from .losses import check_labels
-from .network import QuantileNet, TauGrid
+from .network import QuantileNet, TauGrid, check_rows
+
+
+def check_latent(latent, n: int) -> np.ndarray:
+    """``latent`` as float64: the latent rule of ``LabeledDataset`` and
+    ``metrics.coverage``. Anything but n finite values is a ValueError."""
+    latent = np.asarray(latent, dtype=float)
+    if latent.shape != (n,) or np.count_nonzero(np.isfinite(latent)) != n:
+        raise ValueError(f"expected {n} finite latent values, "
+                         f"got shape {latent.shape}")
+    return latent
 
 
 @dataclasses.dataclass
@@ -29,12 +39,11 @@ class LabeledDataset:
     column_names: Optional[list] = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError("features must be an (n, d) array of at least "
-                             f"one row, not shape {self.features.shape}")
+        self.features = check_rows(self.features)
         if self.labels is not None:
             self.labels = check_labels(self.labels, self.n).astype(int)
+        if self.latent is not None:
+            self.latent = check_latent(self.latent, self.n)
 
     @property
     def n(self) -> int:
@@ -295,11 +304,7 @@ def normalize_for_coverage(ds: LabeledDataset, preds: np.ndarray,
     """
     if ds.latent is None:
         raise ValueError("coverage normalization needs the true latent")
-    preds = np.asarray(preds, dtype=float)
-    if preds.shape[0] != ds.n:
-        raise ValueError("predictions are not aligned with dataset rows")
-    if preds.shape[1] != len(grid):
-        raise ValueError("prediction width does not match grid size")
+    preds = check_rows(preds, len(grid), ds.n)
     mu, sd = ds.latent.mean(), ds.latent.std()
     if sd == 0.0:
         raise ValueError("degenerate latent distribution (zero spread)")

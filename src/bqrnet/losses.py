@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 
-from .network import TauGrid, check_inputs
+from .network import TauGrid, check_rows
 
 BQR = "bqr"
 BCE = "bce"
@@ -34,13 +34,16 @@ class LossSpec:
             raise ValueError("cross-entropy baseline uses the single level 0.5")
 
 
-def check_labels(y, n: int) -> np.ndarray:
+def check_labels(y, n=None) -> np.ndarray:
     """``y`` as float64: the labels rule of every entry point. Anything but
-    n values of 0 or 1 is a ValueError."""
+    values of 0 or 1, a vector of exactly n when n is given, is a ValueError;
+    without n any shape holds, for the functions that broadcast."""
     y = np.asarray(y, dtype=float)
     # every nonzero value a 1: NaN counts as nonzero, so it fails too
-    if y.shape != (n,) or np.count_nonzero(y) != np.count_nonzero(y == 1.0):
-        raise ValueError(f"expected {n} labels of 0 or 1, got shape {y.shape}")
+    if (n is not None and y.shape != (n,)
+            or np.count_nonzero(y) != np.count_nonzero(y == 1.0)):
+        count = "" if n is None else f"{n} "
+        raise ValueError(f"expected {count}labels of 0 or 1, got shape {y.shape}")
     return y
 
 
@@ -105,8 +108,7 @@ def bqr_loss(y, z, tau):
     """Negative log-likelihood of a 0/1 label under the latent model, exact
     for every finite z."""
     tau = _check_tau(tau)
-    loss, _ = _bqr_terms(np.asarray(y, dtype=float),
-                         np.asarray(z, dtype=float), tau)
+    loss, _ = _bqr_terms(check_labels(y), np.asarray(z, dtype=float), tau)
     return _scalar_or_array(loss)
 
 
@@ -118,19 +120,14 @@ def _hinge(values):
 
 
 def _loss_and_grad(y, z, spec: LossSpec):
-    """Per-sample total loss and d(total loss)/dz for n labels y and an
-    (n, m) prediction matrix z, in one pass.
+    """Per-sample total loss and d(total loss)/dz for n checked labels y and
+    a checked (n, m) prediction matrix z, in one pass.
 
     The BQR loss sums the per-level log-space terms of ``_bqr_terms`` and
     adds lam times the crossing hinge, whose subgradient goes into the
     gradient in place. The cross-entropy baseline scores the single output
     as a logit: log(1 + e^z) - y z, with gradient sigmoid(z) - y.
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[1] != len(spec.grid):
-        raise ValueError(f"expected (n, {len(spec.grid)}) predictions, "
-                         f"got shape {z.shape}")
-    y = check_labels(y, z.shape[0])
     if spec.kind == BCE:
         z0 = z[:, 0]
         grad = np.zeros_like(z)
@@ -154,12 +151,14 @@ def total_loss(y, pred, spec: LossSpec):
     For the cross-entropy baseline the single output is a logit scored with
     standard binary cross-entropy.
     """
-    return _loss_and_grad(y, pred, spec)[0]
+    pred = check_rows(pred, len(spec.grid))
+    return _loss_and_grad(check_labels(y, len(pred)), pred, spec)[0]
 
 
 def total_grad(y, pred, spec: LossSpec):
     """d(total_loss)/d(pred), shape (n, m)."""
-    return _loss_and_grad(y, pred, spec)[1]
+    pred = check_rows(pred, len(spec.grid))
+    return _loss_and_grad(check_labels(y, len(pred)), pred, spec)[1]
 
 
 def _sigmoid(z):
@@ -220,7 +219,8 @@ def backward(net, x, y, spec: LossSpec):
     # looked up at call time, where a profiler may have wrapped them
     from .network import backprop_from_outputs, forward_cached
 
-    x = check_inputs(net, x)
+    x = check_rows(x, net.input_dim)
+    y = check_labels(y, len(x))
     z, acts, pres = forward_cached(net, x)
     loss, dz = _loss_and_grad(y, z, spec)
     dz /= x.shape[0]

@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .datasets import write_rows
+from .datasets import check_latent, write_rows
 from .losses import check_labels
-from .network import TauGrid
+from .network import TauGrid, check_rows
 
 DELTA_BIN_CENTERS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -33,10 +33,10 @@ class CoverageTable:
 def coverage(norm_latent, norm_preds, grid: TauGrid) -> CoverageTable:
     """Fraction of rows whose (normalized) latent lies strictly below each
     quantile column. Nominally tau at every level for correct quantiles."""
-    norm_latent = np.asarray(norm_latent, dtype=float)
-    norm_preds = np.asarray(norm_preds, dtype=float)
-    if norm_preds.shape != (norm_latent.shape[0], len(grid)):
-        raise ValueError("latent and prediction matrix are misaligned")
+    # an empty latent sets no row count: the latent rule rejects it
+    n = np.size(norm_latent) or None
+    norm_preds = check_rows(norm_preds, len(grid), n)
+    norm_latent = check_latent(norm_latent, len(norm_preds))
     cov = (norm_latent[:, None] < norm_preds).mean(axis=0)
     return CoverageTable(grid=grid, coverage=cov)
 

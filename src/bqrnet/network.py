@@ -169,14 +169,18 @@ def _pass(net: QuantileNet, x: np.ndarray, pres, acts, z: np.ndarray) -> None:
         raise FloatingPointError("non-finite network output")
 
 
-def check_inputs(net: QuantileNet, x: np.ndarray) -> np.ndarray:
-    """``x`` as float64: the features rule of every entry point. Anything but
-    one or more rows of ``net.input_dim`` finite features is a ValueError."""
+def check_rows(x, k=None, n=None) -> np.ndarray:
+    """``x`` as float64: the rows rule of every features input and every
+    prediction matrix. Anything but one or more rows of finite values, each
+    k wide, and exactly n rows when n is given, is a ValueError."""
     x = np.asarray(x, dtype=float)
-    if (x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != net.input_dim
+    if (x.ndim != 2 or len(x) == 0 or n not in (None, len(x))
+            or k not in (None, x.shape[1])
             or np.count_nonzero(np.isfinite(x)) != x.size):
-        raise ValueError(f"expected one or more rows of {net.input_dim} "
-                         f"finite features, got shape {x.shape}")
+        rows = "one or more" if n is None else n
+        width = "" if k is None else f"{k} "
+        raise ValueError(f"expected {rows} rows of {width}finite values, "
+                         f"got shape {x.shape}")
     return x
 
 
@@ -187,7 +191,7 @@ def forward(net: QuantileNet, x: np.ndarray) -> np.ndarray:
     Rows go through the trunk in blocks of FORWARD_BLOCK_ROWS, so the hidden
     activations of a large batch are never held at once.
     """
-    x = check_inputs(net, x)
+    x = check_rows(x, net.input_dim)
     n = x.shape[0]
     z = np.empty((n, net.n_heads))
     # one buffer per layer, reused by every block as both pres and acts

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .network import TauGrid
+from .network import TauGrid, check_rows
 
 # boundary anchors for the smoothing sum: levels 0 and 1 flank the grid
 TAU_LO = 0.0
@@ -101,10 +101,8 @@ class SmoothedQuantileFn:
     bandwidth: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = check_rows([self.values], len(self.grid))[0]
         _check_bandwidth(self.bandwidth)
-        if self.values.shape != (len(self.grid),):
-            raise ValueError("values must align with the grid")
         self._knots = _knots(self.grid.levels)
 
     def weights(self, tau):
@@ -122,18 +120,10 @@ def _check_bandwidth(h):
         raise ValueError(f"bandwidth must be positive and finite, not {h}")
 
 
-def _pred_matrix(pred_matrix, grid: TauGrid) -> np.ndarray:
-    preds = np.asarray(pred_matrix, dtype=float)
-    if preds.ndim != 2 or preds.shape[1] != len(grid):
-        raise ValueError("prediction matrix columns must align with the grid")
-    return preds
-
-
 def smooth(values, grid: TauGrid,
            h: float = DEFAULT_BANDWIDTH) -> SmoothedQuantileFn:
     """Build the Gaussian-kernel smoothed quantile function."""
-    return SmoothedQuantileFn(grid=grid, values=np.asarray(values, dtype=float),
-                              bandwidth=h)
+    return SmoothedQuantileFn(grid=grid, values=values, bandwidth=h)
 
 
 def conditional_moments(pred_matrix, grid: TauGrid,
@@ -142,7 +132,7 @@ def conditional_moments(pred_matrix, grid: TauGrid,
     function, integrated over (0, 1) by composite Simpson; two arrays of
     length n. The variance is clamped at 0, where rounding would leave a
     constant row slightly negative."""
-    preds = _pred_matrix(pred_matrix, grid)
+    preds = check_rows(pred_matrix, len(grid))
     _check_bandwidth(h)
     _, w_mean, gram = _moment_operator(grid.levels, float(h))
     mean = preds @ w_mean
@@ -190,7 +180,7 @@ def prediction_intervals(pred_matrix, grid: TauGrid, level: float):
     ``level`` must lie in (0, 1) and both target levels within the grid's
     span.
     """
-    preds = _pred_matrix(pred_matrix, grid)
+    preds = check_rows(pred_matrix, len(grid))
     if not 0.0 < level < 1.0:
         raise ValueError(f"interval level {level} must lie in (0, 1)")
     taus = grid.array
@@ -204,7 +194,7 @@ def prediction_intervals(pred_matrix, grid: TauGrid, level: float):
 
 def prediction_interval(values, grid: TauGrid, level: float):
     """Central interval of one quantile vector; see prediction_intervals."""
-    lo, hi = prediction_intervals(np.asarray(values)[None, :], grid, level)
+    lo, hi = prediction_intervals([values], grid, level)
     return float(lo[0]), float(hi[0])
 
 
@@ -237,7 +227,7 @@ def delta_scores(pred_matrix, grid: TauGrid) -> ConfidenceScores:
     median's sign, so the first knot of opposite (or zero) value brackets
     the crossing.
     """
-    preds = _pred_matrix(pred_matrix, grid)
+    preds = check_rows(pred_matrix, len(grid))
     taus = grid.array
     mid = grid.median_index
     med = preds[:, mid]
@@ -262,6 +252,6 @@ def delta_scores(pred_matrix, grid: TauGrid) -> ConfidenceScores:
 
 def delta_score(values, grid: TauGrid) -> ConfidenceScores:
     """Confidence score of one quantile vector; see delta_scores."""
-    scores = delta_scores(np.asarray(values)[None, :], grid)
+    scores = delta_scores([values], grid)
     return ConfidenceScores(delta=float(scores.delta[0]),
                             predicted_label=int(scores.predicted_label[0]))

@@ -12,7 +12,7 @@ import numpy as np
 from . import losses
 from .datasets import write_rows
 from .network import (QuantileNet, _trunk_deltas, apply_step,
-                      check_inputs, forward, forward_cached)
+                      check_rows, forward, forward_cached)
 
 FIXED = "fixed"
 LALR = "lalr"
@@ -83,7 +83,7 @@ def estimate_kz(net: QuantileNet, x: np.ndarray) -> float:
     bias coordinates). Each head's own bias has gradient exactly 1, so the
     bound is never below 1.
     """
-    _, acts, pres = forward_cached(net, check_inputs(net, x))
+    _, acts, pres = forward_cached(net, check_rows(x, net.input_dim))
     # per-row max(|a|, 1) of each layer's input; the last entry also bounds
     # every head's own gradient (trunk output activations and 1 for the bias)
     a_scale = [np.maximum(np.abs(a).max(axis=1), 1.0) for a in acts]
@@ -112,7 +112,7 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
     head under BCE) on the training set. In lalr mode k_z is re-estimated
     once per epoch from the first shuffled batch.
     """
-    x = check_inputs(net, x)
+    x = check_rows(x, net.input_dim)
     y = losses.check_labels(y, x.shape[0])
     if spec.grid != net.grid:
         raise ValueError("the loss grid differs from the network's grid")

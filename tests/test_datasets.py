@@ -107,7 +107,8 @@ class TestLabeledDataset:
     def test_features_must_be_rows(self, features):
         # three values are three rows of one feature or one row of three,
         # so a vector is not read as either
-        with pytest.raises(ValueError, match="features must be an"):
+        with pytest.raises(ValueError, match="^expected one or more rows of "
+                                             "finite values, got shape "):
             LabeledDataset(features=features)
 
     @pytest.mark.parametrize("labels", [[0.7, 1.0], [0, 1, 1], [[0], [1]],

@@ -364,13 +364,14 @@ class TestFusedKernel:
 
     def test_grid_length_mismatch(self):
         spec = LossSpec(grid=TauGrid.default())
-        with pytest.raises(ValueError):
-            _loss_and_grad(np.zeros(2), np.zeros((2, 3)), spec)
+        for fn in (total_loss, total_grad):
+            with pytest.raises(ValueError):
+                fn(np.zeros(2), np.zeros((2, 3)), spec)
 
     @pytest.mark.parametrize("fn", [total_loss, total_grad])
     @pytest.mark.parametrize("y, pred, match", [
-        (1.0, np.zeros(9), r"\(n, 9\) predictions"),
-        (np.ones(1), np.zeros(9), r"\(n, 9\) predictions"),
+        (1.0, np.zeros(9), "rows of 9 finite values"),
+        (np.ones(1), np.zeros(9), "rows of 9 finite values"),
         (np.ones(3), np.zeros((2, 9)), "expected 2 labels of 0 or 1"),
         (np.ones((2, 1)), np.zeros((2, 9)), "expected 2 labels of 0 or 1")])
     def test_only_aligned_batches(self, fn, y, pred, match):

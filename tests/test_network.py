@@ -115,7 +115,7 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         net = init_net(2, [4], TauGrid.default(), seed=1)
-        with pytest.raises(ValueError, match="of 2 finite features"):
+        with pytest.raises(ValueError, match="of 2 finite values"):
             forward(net, np.zeros((3, 5)))
 
     def test_non_finite_rejected(self):

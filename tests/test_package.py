@@ -36,16 +36,21 @@ def test_only_divergence_has_its_own_exception_class():
     assert defined == {"TrainingDiverged"}
 
 
-# The two input rules and every entry point that applies each. An entry
-# point takes the bad features or labels with good values for the rest.
+# The input rules and every entry point that applies each. An entry point
+# takes the bad features, predictions, labels or latent with good values for
+# the rest.
 NET = bqrnet.init_net(1, [4], bqrnet.TauGrid.default(), seed=0)
-SPEC = bqrnet.LossSpec(NET.grid)
+GRID = NET.grid
+SPEC = bqrnet.LossSpec(GRID)
 X = np.array([[0.1], [0.5], [0.9]])
 Y = np.array([0.0, 1.0, 1.0])
+DS = bqrnet.LabeledDataset(features=X, labels=Y, latent=[0.2, -1.0, 3.0])
 CONFIDENCE = bqrnet.ConfidenceScores(delta=np.full(3, 0.2),
                                      predicted_label=np.array([0, 1, 1]))
 TRAIN_CONFIG = bqrnet.TrainConfig(epochs=1, batch_size=2, lr_mode="lalr")
 
+# the rows rule: features are rows of input_dim values, predictions rows of
+# len(grid) values, and LabeledDataset features rows of any width
 FEATURE_ENTRIES = {
     "forward": lambda x: bqrnet.forward(NET, x),
     "backward": lambda x: bqrnet.backward(NET, x, Y, SPEC),
@@ -60,6 +65,33 @@ BAD_FEATURES = {
     "+inf": np.array([[0.1], [np.inf], [0.9]]),
     "-inf": np.array([[0.1], [-np.inf], [0.9]]),
 }
+ANY_WIDTH_FEATURES = {case: x for case, x in BAD_FEATURES.items()
+                      if case != "wrong-width"}
+PREDICTION_ENTRIES = {
+    "conditional_moments": lambda p: bqrnet.conditional_moments(p, GRID),
+    "prediction_intervals": lambda p: bqrnet.prediction_intervals(p, GRID, 0.5),
+    "delta_scores": lambda p: bqrnet.delta_scores(p, GRID),
+    "total_loss": lambda p: bqrnet.total_loss(Y, p, SPEC),
+    "total_grad": lambda p: losses.total_grad(Y, p, SPEC),
+}
+# entry points that also know the row count, 3
+COUNTED_PREDICTION_ENTRIES = {
+    "normalize_for_coverage": lambda p: bqrnet.normalize_for_coverage(DS, p,
+                                                                      GRID),
+    "coverage": lambda p: bqrnet.coverage(DS.latent, p, GRID),
+}
+BAD_PREDICTIONS = {
+    "1-d": np.zeros(9),
+    "wrong-width": np.zeros((3, 2)),
+    "0-rows": np.zeros((0, 9)),
+    "nan": np.where(np.eye(3, 9) == 1, np.nan, 0.0),
+    "+inf": np.where(np.eye(3, 9) == 1, np.inf, 0.0),
+    "-inf": np.where(np.eye(3, 9) == 1, -np.inf, 0.0),
+}
+WRONG_ROW_COUNT = {"2-rows": np.zeros((2, 9)), "4-rows": np.zeros((4, 9))}
+
+# the labels rule: n labels of 0 or 1, or any shape of 0s and 1s for the
+# functions that broadcast
 LABEL_ENTRIES = {
     "train": lambda y: bqrnet.train(NET, X, y, SPEC, TRAIN_CONFIG),
     "LabeledDataset": lambda y: bqrnet.LabeledDataset(features=X, labels=y),
@@ -78,20 +110,73 @@ BAD_LABELS = {
     "nan": np.array([0.0, np.nan, 1.0]),
     "short": np.array([0.0, 1.0]),
 }
+BAD_LABEL_VALUES = {"2": 2.0, "0.5": 0.5, "nan": np.nan}
+
+# the latent rule: n finite values
+LATENT_ENTRIES = {
+    "LabeledDataset": lambda v: bqrnet.LabeledDataset(features=X, latent=v),
+    "coverage": lambda v: bqrnet.coverage(v, np.zeros((3, 9)), GRID),
+}
+BAD_LATENT = {
+    "2-d": [[0.2], [-1.0], [3.0]],
+    "nan": [0.2, np.nan, 3.0],
+    "+inf": [0.2, np.inf, 3.0],
+    "-inf": [0.2, -np.inf, 3.0],
+}
+
+
+def _rows_message(bad, k=None, n=None):
+    rows = "one or more" if n is None else n
+    width = "" if k is None else f"{k} "
+    return f"expected {rows} rows of {width}finite values, got shape {bad.shape}"
 
 
 @pytest.mark.parametrize("entry, bad, message", [
-    *(pytest.param(fn, x, "expected one or more rows of 1 finite features, "
-                   f"got shape {x.shape}", id=f"{name}-features-{case}")
+    *(pytest.param(fn, x, _rows_message(x, 1), id=f"{name}-features-{case}")
       for name, fn in FEATURE_ENTRIES.items()
       for case, x in BAD_FEATURES.items()),
+    *(pytest.param(lambda x: bqrnet.LabeledDataset(features=x), x,
+                   _rows_message(x), id=f"LabeledDataset-features-{case}")
+      for case, x in ANY_WIDTH_FEATURES.items()),
+    *(pytest.param(fn, p, _rows_message(p, 9), id=f"{name}-predictions-{case}")
+      for name, fn in PREDICTION_ENTRIES.items()
+      for case, p in BAD_PREDICTIONS.items()),
+    *(pytest.param(fn, p, _rows_message(p, 9, 3),
+                   id=f"{name}-predictions-{case}")
+      for name, fn in COUNTED_PREDICTION_ENTRIES.items()
+      for case, p in {**BAD_PREDICTIONS, **WRONG_ROW_COUNT}.items()),
     *(pytest.param(fn, y, f"expected 3 labels of 0 or 1, got shape {y.shape}",
                    id=f"{name}-labels-{case}")
       for name, fn in LABEL_ENTRIES.items() for case, y in BAD_LABELS.items()),
+    *(pytest.param(lambda y: bqrnet.bqr_loss(y, 1.0, 0.5), y,
+                   "expected labels of 0 or 1, got shape ()",
+                   id=f"bqr_loss-labels-{case}")
+      for case, y in BAD_LABEL_VALUES.items()),
+    *(pytest.param(fn, v, "expected 3 finite latent values, got shape "
+                   f"{np.shape(v)}", id=f"{name}-latent-{case}")
+      for name, fn in LATENT_ENTRIES.items()
+      for case, v in BAD_LATENT.items()),
+    # coverage reads a short latent as a row count, so the rows rule answers
+    pytest.param(LATENT_ENTRIES["LabeledDataset"], [0.2, -1.0],
+                 "expected 3 finite latent values, got shape (2,)",
+                 id="LabeledDataset-latent-short"),
 ])
 def test_each_input_rule_has_one_message(entry, bad, message):
-    # labels 2, 0.5 or NaN used to score as 0, and a 3-column or NaN batch
-    # reached backward and estimate_kz as a NumPy or network-output error
+    # labels 2, 0.5 or NaN used to score as 0; a 3-column or NaN batch
+    # reached backward and estimate_kz as a NumPy or network-output error;
+    # a NaN prediction row scored delta 0.5, the most confident; and a NaN
+    # or short latent built a dataset
     with pytest.raises(ValueError) as exc:
         entry(bad)
     assert str(exc.value) == message
+
+
+def test_a_latent_list_is_stored_as_floats():
+    # it was stored as given, and normalize_for_coverage then raised
+    # AttributeError on the list
+    ds = bqrnet.LabeledDataset(features=X, labels=Y, latent=[0, -1, 3])
+    assert ds.latent.dtype == np.float64
+    assert ds.latent.tolist() == [0.0, -1.0, 3.0]
+    latent, _ = bqrnet.normalize_for_coverage(ds, np.arange(27.0).reshape(3, 9),
+                                              GRID)
+    assert np.isclose(latent.mean(), 0.0)

@@ -298,7 +298,7 @@ class TestTrain:
     @pytest.mark.parametrize("x, error, match", [
         (np.array([[0.1], [np.nan], [0.3]]), ValueError, "finite"),
         (np.array([[0.1], [np.inf], [0.3]]), ValueError, "finite"),
-        (np.zeros((3, 2)), ValueError, "of 1 finite features"),
+        (np.zeros((3, 2)), ValueError, "of 1 finite values"),
         (np.zeros(3), ValueError, r"got shape \(3,\)"),
     ])
     def test_bad_features_rejected_before_training(self, epochs, x, error,
