@@ -163,11 +163,9 @@ def train_test_split(ds: LabeledDataset, test_fraction: float = 0.3,
 
     def subset(idx):
         return dataclasses.replace(
-            ds,
-            features=ds.features[idx],
+            ds, features=ds.features[idx],
             labels=None if ds.labels is None else ds.labels[idx],
-            latent=None if ds.latent is None else ds.latent[idx],
-        )
+            latent=None if ds.latent is None else ds.latent[idx])
 
     return subset(train_idx), subset(test_idx)
 
@@ -264,11 +262,10 @@ def write_csv(ds: LabeledDataset, path) -> None:
     """Export a dataset to CSV."""
     header = list(ds.column_names or [f"x{i}" for i in range(ds.dim)])
     columns = []
-    for name, col, kind in (("latent", ds.latent, float),
-                            ("label", ds.labels, int)):
+    for name, col in (("latent", ds.latent), ("label", ds.labels)):
         if col is not None:
             header.append(name)
-            columns.append(np.asarray(col, dtype=kind).tolist())
+            columns.append(col.tolist())
     write_rows(path, header, (f + rest for f, *rest in zip(
         ds.features.tolist(), *columns)))
 

@@ -47,6 +47,12 @@ def check_labels(y, n=None) -> np.ndarray:
     return y
 
 
+def check_grid(net, spec: LossSpec) -> None:
+    """The grid rule of ``backward`` and ``train``: the loss grid is the net's."""
+    if spec.grid != net.grid:
+        raise ValueError("the loss grid differs from the network's grid")
+
+
 def _check_tau(tau):
     tau = np.asarray(tau, dtype=float)
     if not np.all((tau > 0.0) & (tau < 1.0)):  # NaN fails too
@@ -213,14 +219,15 @@ def backward(net, x, y, spec: LossSpec):
 
     Returns (gradient, mean loss); the gradient is one vector laid out like
     ``net.params``. It matches central finite differences away from the
-    loss and ReLU kinks. Bad features or labels are a ValueError, and a
-    non-finite network output is ``forward_cached``'s FloatingPointError.
+    loss and ReLU kinks. Bad features, labels or loss grid are a ValueError,
+    and a non-finite network output is ``forward_cached``'s FloatingPointError.
     """
     # looked up at call time, where a profiler may have wrapped them
     from .network import backprop_from_outputs, forward_cached
 
     x = check_rows(x, net.input_dim)
     y = check_labels(y, len(x))
+    check_grid(net, spec)
     z, acts, pres = forward_cached(net, x)
     loss, dz = _loss_and_grad(y, z, spec)
     dz /= x.shape[0]

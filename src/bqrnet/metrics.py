@@ -33,9 +33,7 @@ class CoverageTable:
 def coverage(norm_latent, norm_preds, grid: TauGrid) -> CoverageTable:
     """Fraction of rows whose (normalized) latent lies strictly below each
     quantile column. Nominally tau at every level for correct quantiles."""
-    # an empty latent sets no row count: the latent rule rejects it
-    n = np.size(norm_latent) or None
-    norm_preds = check_rows(norm_preds, len(grid), n)
+    norm_preds = check_rows(norm_preds, len(grid))
     norm_latent = check_latent(norm_latent, len(norm_preds))
     cov = (norm_latent[:, None] < norm_preds).mean(axis=0)
     return CoverageTable(grid=grid, coverage=cov)

@@ -204,9 +204,8 @@ def forward(net: QuantileNet, x: np.ndarray) -> np.ndarray:
 
 
 def forward_cached(net: QuantileNet, x: np.ndarray):
-    """Forward pass returning (outputs, activations, pre-activations), each
-    in a fresh array; ``acts[0]`` is the input itself."""
-    x = np.asarray(x, dtype=float)
+    """Forward pass of checked rows, returning (outputs, activations,
+    pre-activations), each in a fresh array; ``acts[0]`` is the input itself."""
     pres = [np.empty((len(x), w)) for w in net.trunk_widths]
     acts = [np.empty((len(x), w)) for w in net.trunk_widths]
     z = np.empty((len(x), net.n_heads))

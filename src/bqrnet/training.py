@@ -114,8 +114,7 @@ def train(net: QuantileNet, x: np.ndarray, y: np.ndarray,
     """
     x = check_rows(x, net.input_dim)
     y = losses.check_labels(y, x.shape[0])
-    if spec.grid != net.grid:
-        raise ValueError("the loss grid differs from the network's grid")
+    losses.check_grid(net, spec)
     col = net.grid.median_index
     net = net.copy()
     trace = TrainTrace(records=[])

@@ -538,3 +538,16 @@ class TestBackward:
         net = init_net(1, [4], TauGrid.default(), seed=23)
         with pytest.raises(ValueError, match="expected"):
             backward(net, x, y, LossSpec(grid=TauGrid.default()))
+
+    @pytest.mark.parametrize("heads, spec", [
+        (TauGrid.default(), LossSpec(TauGrid((0.5,)), kind=BCE)),
+        (TauGrid.default(), LossSpec(TauGrid((0.5,)))),
+        (TauGrid((0.5,)), LossSpec(TauGrid.default()))],
+        ids=["bce-on-9-heads", "1-level-on-9-heads", "9-levels-on-1-head"])
+    def test_loss_grid_must_be_the_net_grid(self, heads, spec):
+        # the first two scored head 0 alone, or broadcast one tau over every
+        # head, and the third was a NumPy shape error
+        net = init_net(1, [4], heads, seed=23)
+        with pytest.raises(ValueError, match="^the loss grid differs from "
+                                             "the network's grid$"):
+            backward(net, np.ones((3, 1)), np.ones(3), spec)

@@ -73,12 +73,12 @@ PREDICTION_ENTRIES = {
     "delta_scores": lambda p: bqrnet.delta_scores(p, GRID),
     "total_loss": lambda p: bqrnet.total_loss(Y, p, SPEC),
     "total_grad": lambda p: losses.total_grad(Y, p, SPEC),
+    "coverage": lambda p: bqrnet.coverage(DS.latent, p, GRID),
 }
 # entry points that also know the row count, 3
 COUNTED_PREDICTION_ENTRIES = {
     "normalize_for_coverage": lambda p: bqrnet.normalize_for_coverage(DS, p,
                                                                       GRID),
-    "coverage": lambda p: bqrnet.coverage(DS.latent, p, GRID),
 }
 BAD_PREDICTIONS = {
     "1-d": np.zeros(9),
@@ -119,9 +119,22 @@ LATENT_ENTRIES = {
 }
 BAD_LATENT = {
     "2-d": [[0.2], [-1.0], [3.0]],
+    "short": [0.2, -1.0],
     "nan": [0.2, np.nan, 3.0],
     "+inf": [0.2, np.inf, 3.0],
     "-inf": [0.2, -np.inf, 3.0],
+}
+
+# the grid rule: the loss grid is the network's
+GRID_ENTRIES = {
+    "backward": lambda spec: bqrnet.backward(NET, X, Y, spec),
+    "train": lambda spec: bqrnet.train(NET, X, Y, spec, TRAIN_CONFIG),
+}
+BAD_SPECS = {
+    "bce": bqrnet.LossSpec(bqrnet.TauGrid((0.5,)), kind=bqrnet.BCE),
+    "1-level": bqrnet.LossSpec(bqrnet.TauGrid((0.5,))),
+    "other-levels": bqrnet.LossSpec(bqrnet.TauGrid(
+        (0.05, 0.15, 0.25, 0.35, 0.5, 0.65, 0.75, 0.85, 0.95))),
 }
 
 
@@ -156,16 +169,21 @@ def _rows_message(bad, k=None, n=None):
                    f"{np.shape(v)}", id=f"{name}-latent-{case}")
       for name, fn in LATENT_ENTRIES.items()
       for case, v in BAD_LATENT.items()),
-    # coverage reads a short latent as a row count, so the rows rule answers
-    pytest.param(LATENT_ENTRIES["LabeledDataset"], [0.2, -1.0],
-                 "expected 3 finite latent values, got shape (2,)",
-                 id="LabeledDataset-latent-short"),
+    # coverage takes its row count from the predictions
+    *(pytest.param(PREDICTION_ENTRIES["coverage"], p,
+                   f"expected {len(p)} finite latent values, got shape (3,)",
+                   id=f"coverage-latent-{case}")
+      for case, p in WRONG_ROW_COUNT.items()),
+    *(pytest.param(fn, spec, "the loss grid differs from the network's grid",
+                   id=f"{name}-grid-{case}")
+      for name, fn in GRID_ENTRIES.items() for case, spec in BAD_SPECS.items()),
 ])
 def test_each_input_rule_has_one_message(entry, bad, message):
     # labels 2, 0.5 or NaN used to score as 0; a 3-column or NaN batch
     # reached backward and estimate_kz as a NumPy or network-output error;
-    # a NaN prediction row scored delta 0.5, the most confident; and a NaN
-    # or short latent built a dataset
+    # a NaN prediction row scored delta 0.5, the most confident; a NaN or
+    # short latent built a dataset; and backward scored a loss on another
+    # grid against whichever heads its arrays lined up with
     with pytest.raises(ValueError) as exc:
         entry(bad)
     assert str(exc.value) == message
