@@ -163,9 +163,11 @@ def train_test_split(ds: LabeledDataset, test_fraction: float = 0.3,
 
     def subset(idx):
         return dataclasses.replace(
-            ds, features=ds.features[idx],
+            ds,
+            features=ds.features[idx],
             labels=None if ds.labels is None else ds.labels[idx],
-            latent=None if ds.latent is None else ds.latent[idx])
+            latent=None if ds.latent is None else ds.latent[idx],
+        )
 
     return subset(train_idx), subset(test_idx)
 
@@ -215,15 +217,13 @@ def load_csv(path, label_column: str,
     if not finite.all():
         rownum = int(np.argmin(finite)) + 2
         raise ValueError(f"row {rownum}: non-finite value")
-    features, raw_labels = values[:, feat_idx], values[:, label_idx]
+    features, labels = values[:, feat_idx], values[:, label_idx]
     if threshold is not None:
-        threshold = resolve_threshold(threshold, raw_labels)
-        labels = (raw_labels > threshold).astype(int)
-    else:
-        if not np.isin(raw_labels, (0.0, 1.0)).all():
-            raise ValueError("label column is not binary; pass a threshold "
-                             "to binarize a real-valued response")
-        labels = raw_labels.astype(int)
+        threshold = resolve_threshold(threshold, labels)
+        labels = labels > threshold
+    elif not np.isin(labels, (0.0, 1.0)).all():
+        raise ValueError("label column is not binary; pass a threshold "
+                         "to binarize a real-valued response")
     return LabeledDataset(
         features=features, labels=labels,
         latent=None if latent_idx is None else values[:, latent_idx],

@@ -545,8 +545,8 @@ class TestBackward:
         (TauGrid((0.5,)), LossSpec(TauGrid.default()))],
         ids=["bce-on-9-heads", "1-level-on-9-heads", "9-levels-on-1-head"])
     def test_loss_grid_must_be_the_net_grid(self, heads, spec):
-        # the first two scored head 0 alone, or broadcast one tau over every
-        # head, and the third was a NumPy shape error
+        # unchecked, the loss kernel would score head 0 alone, or broadcast
+        # one tau over every head, and fail in NumPy on the third
         net = init_net(1, [4], heads, seed=23)
         with pytest.raises(ValueError, match="^the loss grid differs from "
                                              "the network's grid$"):
