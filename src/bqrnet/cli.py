@@ -238,7 +238,7 @@ def cmd_evaluate(cfg: dict):
     if ds.latent is None:
         print("note: no latent column; coverage table skipped")
     else:
-        cov = metrics.coverage(*datasets.normalize_for_coverage(ds, preds, grid), grid)
+        cov = metrics.coverage(ds, preds, grid)
     scores = smoothing.delta_scores(preds, grid)
     rep = metrics.delta_report(scores, ds.labels)
     summary = {

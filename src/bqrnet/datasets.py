@@ -17,8 +17,7 @@ from .network import QuantileNet, TauGrid, check_rows
 
 
 def check_latent(latent, n: int) -> np.ndarray:
-    """``latent`` as float64: the latent rule of ``LabeledDataset`` and
-    ``metrics.coverage``. Anything but n finite values is a ValueError."""
+    """``latent`` as float64 if it is n finite values, else a ValueError."""
     latent = np.asarray(latent, dtype=float)
     if latent.shape != (n,) or np.count_nonzero(np.isfinite(latent)) != n:
         raise ValueError(f"expected {n} finite latent values, "
@@ -305,10 +304,8 @@ def normalize_for_coverage(ds: LabeledDataset, preds: np.ndarray,
     mu, sd = ds.latent.mean(), ds.latent.std()
     if sd == 0.0:
         raise ValueError("degenerate latent distribution (zero spread)")
-    latent_norm = (ds.latent - mu) / sd
     med = preds[:, grid.median_index]
     med_mu, med_sd = med.mean(), med.std()
     if med_sd == 0.0:
         raise ValueError("degenerate median prediction (zero spread)")
-    preds_norm = (preds - med_mu) / med_sd
-    return latent_norm, preds_norm
+    return (ds.latent - mu) / sd, (preds - med_mu) / med_sd

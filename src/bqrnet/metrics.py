@@ -13,9 +13,10 @@ from typing import Optional
 
 import numpy as np
 
-from .datasets import check_latent, write_rows
+from . import datasets, smoothing
+from .datasets import write_rows
 from .losses import check_labels
-from .network import TauGrid, check_rows
+from .network import TauGrid
 
 DELTA_BIN_CENTERS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -30,13 +31,11 @@ class CoverageTable:
                    [[dataset_name] + [f"{c:.4f}" for c in self.coverage]])
 
 
-def coverage(norm_latent, norm_preds, grid: TauGrid) -> CoverageTable:
-    """Fraction of rows whose (normalized) latent lies strictly below each
-    quantile column. Nominally tau at every level for correct quantiles."""
-    norm_preds = check_rows(norm_preds, len(grid))
-    norm_latent = check_latent(norm_latent, len(norm_preds))
-    cov = (norm_latent[:, None] < norm_preds).mean(axis=0)
-    return CoverageTable(grid=grid, coverage=cov)
+def coverage(ds, preds, grid: TauGrid) -> CoverageTable:
+    """Share of rows whose latent lies strictly below each quantile column,
+    both normalized by datasets.normalize_for_coverage; nominally tau."""
+    latent, preds = datasets.normalize_for_coverage(ds, preds, grid)
+    return CoverageTable(grid, (latent[:, None] < preds).mean(axis=0))
 
 
 def accuracy(predicted, actual) -> float:
@@ -125,21 +124,15 @@ def roc_auc(scores, labels) -> Optional[float]:
     return float((below.sum() + 0.5 * tied.sum()) / (n_pos * n_neg))
 
 
-def roc_auc_at_delta(scores, labels, confidence,
+def roc_auc_at_delta(pred_matrix, grid: TauGrid, labels,
                      delta_min: float) -> Optional[float]:
-    """AUC restricted to rows whose confidence meets delta_min.
-
-    ``confidence`` is the ConfidenceScores of smoothing.delta_scores.
-    """
+    """AUC of the median column over the rows whose delta meets delta_min;
+    smoothing.delta_scores applies the rows rule to ``pred_matrix``."""
     if not 0.0 <= delta_min <= 0.5:
         raise ValueError("delta_min must lie in [0, 0.5]")
-    scores = np.asarray(scores, dtype=float)
-    labels = check_labels(labels, scores.size)
-    deltas = np.asarray(confidence.delta, dtype=float)
-    if deltas.shape != scores.shape:
-        raise ValueError("scores and confidence are misaligned")
-    keep = deltas >= delta_min
-    return roc_auc(scores[keep], labels[keep])
+    keep = smoothing.delta_scores(pred_matrix, grid).delta >= delta_min
+    median = np.asarray(pred_matrix, dtype=float)[keep, grid.median_index]
+    return roc_auc(median, check_labels(labels, keep.size)[keep])
 
 
 def summary_json(path, payload: dict) -> None:

@@ -97,7 +97,7 @@ class TestAC1Coverage:
     @pytest.mark.parametrize("dataset_id", ["D1", "D2", "D3"])
     def test_coverage_rows(self, dataset_id, d1_run, d2_run, d3_run):
         run = _runs(d1_run, d2_run, d3_run)[dataset_id]
-        cov = bq.coverage(run["latent_n"], run["preds_n"], GRID).coverage
+        cov = bq.coverage(run["test"], run["preds"], GRID).coverage
         dev_nominal = float(np.abs(cov - GRID.array).max())
         dev_printed = float(np.abs(cov - np.array(PRINTED_ROWS[dataset_id])).max())
         passed = (dev_nominal <= COVERAGE_TOL and dev_printed <= COVERAGE_TOL
@@ -159,10 +159,8 @@ class TestAC5ConfidenceFilteredAuc:
                                           d3_run):
         run = _runs(d1_run, d2_run, d3_run)[dataset_id]
         labels = run["test"].labels
-        med = run["preds"][:, GRID.median_index]
-        reps = bq.delta_scores(run["preds"], GRID)
-        auc_all = bq.roc_auc_at_delta(med, labels, reps, 0.0)
-        auc_conf = bq.roc_auc_at_delta(med, labels, reps, 0.3)
+        auc_all = bq.roc_auc_at_delta(run["preds"], GRID, labels, 0.0)
+        auc_conf = bq.roc_auc_at_delta(run["preds"], GRID, labels, 0.3)
         passed = auc_all is not None and auc_conf is not None \
             and auc_conf > auc_all
         report(f"AC-5 [{dataset_id}] AUC {auc_all:.4f} -> {auc_conf:.4f} "

@@ -10,11 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bqrnet.datasets import gen_dataset, normalize_for_coverage, threshold_labels
+from bqrnet.datasets import LabeledDataset, gen_dataset, threshold_labels
 from bqrnet.metrics import (CoverageTable, accuracy, coverage, delta_report,
                             r_squared, roc_auc, roc_auc_at_delta, summary_json)
 from bqrnet.network import TauGrid
-from bqrnet.smoothing import ConfidenceScores
+from bqrnet.smoothing import ConfidenceScores, delta_scores
 
 GRID = TauGrid.default()
 
@@ -30,6 +30,10 @@ def brute_force_auc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def latent_dataset(latent):
+    return LabeledDataset(features=np.zeros((len(latent), 1)), latent=latent)
+
+
 class TestCoverage:
     def test_oracle_quantile_predictor(self):
         # exact conditional quantiles of the D1 latent: 5 sin(8x) + z_tau,
@@ -40,23 +44,30 @@ class TestCoverage:
         x = ds.features[:, 0]
         preds = (5.0 * np.sin(8.0 * x)[:, None]
                  + stats.norm.ppf(GRID.array)[None, :] - mu)
-        lat, pn = normalize_for_coverage(ds, preds, GRID)
-        cov = coverage(lat, pn, GRID).coverage
+        cov = coverage(ds, preds, GRID).coverage
         assert np.all(np.abs(cov - GRID.array) <= 0.03)
 
     def test_huge_predictions_cover_everything(self):
+        # the median column needs a spread to normalize by, and after
+        # normalization it has mean 0 as the latent has, so only the other
+        # levels can cover every row
         lat = np.random.default_rng(0).normal(size=50)
         preds = np.full((50, 9), 1e9)
-        cov = coverage(lat, preds, GRID).coverage
-        assert np.all(cov == 1.0)
+        preds[:, GRID.median_index] = lat
+        cov = coverage(latent_dataset(lat), preds, GRID).coverage
+        assert np.all(np.delete(cov, GRID.median_index) == 1.0)
 
     def test_strict_inequality(self):
-        cov = coverage(np.zeros(4), np.zeros((4, 9)), GRID).coverage
+        # every prediction column equals the latent, before and after
+        # normalization, and no row lies strictly below itself
+        lat = np.array([0.0, 1.0, 2.0, 3.0])
+        preds = np.repeat(lat[:, None], 9, axis=1)
+        cov = coverage(latent_dataset(lat), preds, GRID).coverage
         assert np.all(cov == 0.0)
 
     def test_misaligned(self):
         with pytest.raises(ValueError):
-            coverage(np.zeros(4), np.zeros((5, 9)), GRID)
+            coverage(latent_dataset(np.arange(4.0)), np.zeros((5, 9)), GRID)
 
     def test_csv(self, tmp_path):
         table = CoverageTable(grid=GRID, coverage=GRID.array.copy())
@@ -183,19 +194,22 @@ class TestRocAuc:
                 brute_force_auc(scores, labels), abs=1e-12)
 
     def test_restricted_auc(self):
+        # rows linear in tau with medians 0.1, 0.9, 0.2, 0.8 and their zero
+        # at level 0.1, 0.1, 0.4, 0.4, so their deltas are 0.4, 0.4, 0.1, 0.1
         scores = np.array([0.1, 0.9, 0.2, 0.8])
         labels = np.array([0, 1, 1, 0])
-        reps = ConfidenceScores(delta=np.array([0.4, 0.4, 0.1, 0.1]),
-                                predicted_label=np.zeros(4, dtype=int))
+        zero = GRID.array[[0, 0, 3, 3], None]
+        preds = scores[:, None] * ((GRID.array - zero) / (0.5 - zero))
+        assert np.array_equal(preds[:, GRID.median_index], scores)
+        assert np.allclose(delta_scores(preds, GRID).delta,
+                           [0.4, 0.4, 0.1, 0.1])
         # keeping only the two confident rows yields perfect separation
-        assert roc_auc_at_delta(scores, labels, reps, 0.3) == 1.0
-        assert roc_auc_at_delta(scores, labels, reps, 0.0) == 0.75
+        assert roc_auc_at_delta(preds, GRID, labels, 0.3) == 1.0
+        assert roc_auc_at_delta(preds, GRID, labels, 0.0) == 0.75
 
     def test_restricted_auc_domain(self):
-        with pytest.raises(ValueError):
-            roc_auc_at_delta(np.zeros(1), np.zeros(1),
-                             ConfidenceScores(np.array([0.1]),
-                                              np.array([0])), 0.7)
+        with pytest.raises(ValueError, match="delta_min"):
+            roc_auc_at_delta(np.zeros((1, 9)), GRID, np.zeros(1), 0.7)
 
 
 scores_with_ties = st.one_of(st.integers(-3, 3).map(float),

@@ -3,7 +3,11 @@ package agree, every exported name resolves, bad input has one exception
 type, and each input rule has one message."""
 
 import importlib
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,20 @@ def test_pyproject_version_matches_package():
     tomllib = pytest.importorskip("tomllib")
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert tomllib.loads(text)["project"]["version"] == bqrnet.__version__
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the README's python block runs as written, with a 2-epoch fit
+    root = Path(__file__).resolve().parents[1]
+    block = re.search(r"```python\n(.*?)```", (root / "README.md").read_text(),
+                      re.DOTALL).group(1)
+    assert "epochs=900" in block
+    script = tmp_path / "quick_start.py"
+    script.write_text(block.replace("epochs=900", "epochs=2"))
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, "-W", "error", str(script)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
 
 
 def test_all_names_resolve():
@@ -44,6 +62,7 @@ GRID = NET.grid
 SPEC = bqrnet.LossSpec(GRID)
 X = np.array([[0.1], [0.5], [0.9]])
 Y = np.array([0.0, 1.0, 1.0])
+P = np.zeros((3, 9))
 DS = bqrnet.LabeledDataset(features=X, labels=Y, latent=[0.2, -1.0, 3.0])
 CONFIDENCE = bqrnet.ConfidenceScores(delta=np.full(3, 0.2),
                                      predicted_label=np.array([0, 1, 1]))
@@ -73,12 +92,13 @@ PREDICTION_ENTRIES = {
     "delta_scores": lambda p: bqrnet.delta_scores(p, GRID),
     "total_loss": lambda p: bqrnet.total_loss(Y, p, SPEC),
     "total_grad": lambda p: losses.total_grad(Y, p, SPEC),
-    "coverage": lambda p: bqrnet.coverage(DS.latent, p, GRID),
+    "roc_auc_at_delta": lambda p: bqrnet.roc_auc_at_delta(p, GRID, Y, 0.0),
 }
 # entry points that also know the row count, 3
 COUNTED_PREDICTION_ENTRIES = {
     "normalize_for_coverage": lambda p: bqrnet.normalize_for_coverage(DS, p,
                                                                       GRID),
+    "coverage": lambda p: bqrnet.coverage(DS, p, GRID),
 }
 BAD_PREDICTIONS = {
     "1-d": np.zeros(9),
@@ -98,8 +118,7 @@ LABEL_ENTRIES = {
     "accuracy": lambda y: bqrnet.accuracy([0, 1, 1], y),
     "delta_report": lambda y: bqrnet.delta_report(CONFIDENCE, y),
     "roc_auc": lambda y: bqrnet.roc_auc(X[:, 0], y),
-    "roc_auc_at_delta": lambda y: bqrnet.roc_auc_at_delta(X[:, 0], y,
-                                                          CONFIDENCE, 0.0),
+    "roc_auc_at_delta": lambda y: bqrnet.roc_auc_at_delta(P, GRID, y, 0.0),
     "backward": lambda y: bqrnet.backward(NET, X, y, SPEC),
     "total_loss": lambda y: bqrnet.total_loss(y, np.zeros((3, 9)), SPEC),
     "total_grad": lambda y: losses.total_grad(y, np.zeros((3, 9)), SPEC),
@@ -115,7 +134,6 @@ BAD_LABEL_VALUES = {"2": 2.0, "0.5": 0.5, "nan": np.nan}
 # the latent rule: n finite values
 LATENT_ENTRIES = {
     "LabeledDataset": lambda v: bqrnet.LabeledDataset(features=X, latent=v),
-    "coverage": lambda v: bqrnet.coverage(v, np.zeros((3, 9)), GRID),
 }
 BAD_LATENT = {
     "2-d": [[0.2], [-1.0], [3.0]],
@@ -123,6 +141,22 @@ BAD_LATENT = {
     "nan": [0.2, np.nan, 3.0],
     "+inf": [0.2, np.inf, 3.0],
     "-inf": [0.2, -np.inf, 3.0],
+}
+
+# the confidence rule: deltas in [0, 0.5], one label each, and each label
+# 0 or 1 (the labels rule's value-only form); (delta, predicted_label) pairs
+# in the array form and the one-row float/int form
+BAD_CONFIDENCE = {
+    "nan": (np.array([0.2, np.nan, 0.2]), np.array([0, 1, 1])),
+    "0.7": (np.array([0.2, 0.7, 0.2]), np.array([0, 1, 1])),
+    "-1": (np.array([0.2, -1.0, 0.2]), np.array([0, 1, 1])),
+    "short-labels": (np.full(3, 0.2), np.array([0, 1])),
+    "one-row-nan": (np.nan, 1),
+    "one-row-0.7": (0.7, 1),
+}
+BAD_CONFIDENCE_LABELS = {
+    "5": (np.full(3, 0.2), np.array([0, 5, 1])),
+    "one-row-5": (0.2, 5),
 }
 
 # the grid rule: the loss grid is the network's
@@ -169,11 +203,15 @@ def _rows_message(bad, k=None, n=None):
                    f"{np.shape(v)}", id=f"{name}-latent-{case}")
       for name, fn in LATENT_ENTRIES.items()
       for case, v in BAD_LATENT.items()),
-    # coverage takes its row count from the predictions
-    *(pytest.param(PREDICTION_ENTRIES["coverage"], p,
-                   f"expected {len(p)} finite latent values, got shape (3,)",
-                   id=f"coverage-latent-{case}")
-      for case, p in WRONG_ROW_COUNT.items()),
+    *(pytest.param(lambda args: bqrnet.ConfidenceScores(*args), args,
+                   "expected deltas in [0, 0.5] and one label each, got "
+                   f"shapes {np.shape(args[0])} and {np.shape(args[1])}",
+                   id=f"ConfidenceScores-delta-{case}")
+      for case, args in BAD_CONFIDENCE.items()),
+    *(pytest.param(lambda args: bqrnet.ConfidenceScores(*args), args,
+                   f"expected labels of 0 or 1, got shape {np.shape(args[1])}",
+                   id=f"ConfidenceScores-labels-{case}")
+      for case, args in BAD_CONFIDENCE_LABELS.items()),
     *(pytest.param(fn, spec, "the loss grid differs from the network's grid",
                    id=f"{name}-grid-{case}")
       for name, fn in GRID_ENTRIES.items() for case, spec in BAD_SPECS.items()),
@@ -182,8 +220,10 @@ def test_each_input_rule_has_one_message(entry, bad, message):
     # labels 2, 0.5 or NaN used to score as 0; a 3-column or NaN batch
     # reached backward and estimate_kz as a NumPy or network-output error;
     # a NaN prediction row scored delta 0.5, the most confident; a NaN or
-    # short latent built a dataset; and backward scored a loss on another
-    # grid against whichever heads its arrays lined up with
+    # short latent built a dataset; backward scored a loss on another grid
+    # against whichever heads its arrays lined up with; and a hand-built
+    # ConfidenceScores with a NaN, 0.7 or -1 delta or a label 5 was scored
+    # as given
     with pytest.raises(ValueError) as exc:
         entry(bad)
     assert str(exc.value) == message
