@@ -17,7 +17,7 @@ from .smoothing import (ConfidenceScores, SmoothedQuantileFn, conditional_mean,
 from .training import (TrainConfig, TrainTrace, NotReached, epochs_to_target,
                        estimate_kz, lalr_eta, train)
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "LabeledDataset", "NoiseSpec", "flip_labels", "gen_dataset", "load_csv",

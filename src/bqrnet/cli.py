@@ -239,12 +239,11 @@ def cmd_evaluate(cfg: dict):
         print("note: no latent column; coverage table skipped")
     else:
         cov = metrics.coverage(ds, preds, grid)
-    scores = smoothing.delta_scores(preds, grid)
-    rep = metrics.delta_report(scores, ds.labels)
+    rep = metrics.delta_report(preds, grid, ds.labels)
     summary = {
         **_summary(cfg), "n": ds.n, "grid": list(grid.levels),
         "coverage": cov and cov.coverage, "delta_r2": rep.r2,
-        "accuracy": metrics.accuracy(scores.predicted_label, ds.labels),
+        "accuracy": rep.accuracy,
         "auc": metrics.roc_auc(preds[:, grid.median_index], ds.labels),
         "misclassification_per_threshold": rep.misclassification,
         "retention_per_threshold": rep.retention}
@@ -356,7 +355,7 @@ OPTIONS = (
     ("--lam", dict(type=float, help="crossing penalty weight"), _FIT),
     ("--epochs", dict(type=int), _FIT),
     ("--batch-size", dict(type=int), _FIT),
-    ("--loss", dict(choices=["bqr", "bce"]), ("train",)),
+    ("--loss", dict(help="bqr or bce, in any case"), ("train",)),
     ("--lr", dict(help="'lalr' or a fixed learning rate"), ("train", "noise-sweep")),
     ("--checkpoint", {}, _SCORE),
     ("--fractions", dict(help="comma-separated flip fractions"), ("noise-sweep",)),

@@ -60,8 +60,10 @@ def r_squared(observed, predicted) -> Optional[float]:
 
 @dataclasses.dataclass
 class DeltaBinReport:
-    """Figures per threshold at DELTA_BIN_CENTERS, and the per-bin fit's r2."""
+    """The share of labels the rows' signs get right, the figures per
+    threshold at DELTA_BIN_CENTERS, and the per-bin fit's r2."""
 
+    accuracy: float
     misclassification: list  # per threshold; None when nothing retained
     retention: list
     r2: Optional[float]
@@ -77,18 +79,19 @@ class DeltaBinReport:
                     + [f"{v:.4f}" for v in self.retention] + [""]])
 
 
-def delta_report(scores, labels) -> DeltaBinReport:
-    """Misclassification and retention per confidence threshold, plus the
-    calibration fit of per-bin misclassification against 0.5 - mean(delta).
+def delta_report(pred_matrix, grid: TauGrid, labels) -> DeltaBinReport:
+    """Accuracy, misclassification and retention per confidence threshold,
+    plus the calibration fit of per-bin misclassification against
+    0.5 - mean(delta); smoothing.delta_scores applies the rows rule to
+    ``pred_matrix`` and gives each row's delta and label.
 
     The thresholds and the bin centers are both DELTA_BIN_CENTERS. A row is
     retained at threshold t when its delta >= t; bins assign each row to the
-    nearest center. ``scores`` is the ConfidenceScores of
-    smoothing.delta_scores.
+    nearest center.
     """
-    deltas = np.asarray(scores.delta, dtype=float)
-    labels = check_labels(labels, deltas.size)
-    wrong = np.asarray(scores.predicted_label) != labels
+    scores = smoothing.delta_scores(pred_matrix, grid)
+    deltas = scores.delta
+    wrong = scores.predicted_label != check_labels(labels, deltas.size)
     centers = np.asarray(DELTA_BIN_CENTERS)
     # (thresholds, rows): the rows kept at each threshold
     keep = deltas >= centers[:, None]
@@ -101,7 +104,8 @@ def delta_report(scores, labels) -> DeltaBinReport:
     obs = [m for m in bin_m if m is not None]
     pred = [0.5 - d for d in bin_mean_delta if d is not None]
     r2 = r_squared(obs, pred) if len(obs) >= 2 else None
-    return DeltaBinReport(misclassification=m_r,
+    return DeltaBinReport(accuracy=float(np.mean(~wrong)),
+                          misclassification=m_r,
                           retention=(kept / deltas.size).tolist(), r2=r2)
 
 

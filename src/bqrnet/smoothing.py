@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from .losses import check_labels
 from .network import TauGrid, check_rows
 
 # boundary anchors for the smoothing sum: levels 0 and 1 flank the grid
@@ -201,21 +200,14 @@ def prediction_interval(values, grid: TauGrid, level: float):
 
 @dataclasses.dataclass(frozen=True)
 class ConfidenceScores:
-    """Per-sample confidence: the distance delta in [0, 0.5] (in quantile
-    probability) from the median to the latent sign change, the implied label
-    0 or 1, and the calibrated expected misclassification rate 0.5 - delta;
-    arrays of one shape (a float and an int for one row), else a ValueError."""
+    """Per-sample confidence, as delta_scores and delta_score return it: the
+    distance delta in [0, 0.5] (in quantile probability) from the median to
+    the latent sign change, the implied label 0 or 1, and the calibrated
+    expected misclassification rate 0.5 - delta; arrays of one shape (a
+    float and an int for one row)."""
 
     delta: np.ndarray
     predicted_label: np.ndarray
-
-    def __post_init__(self):
-        delta = np.asarray(self.delta, dtype=float)
-        label = check_labels(self.predicted_label)
-        in_range = (delta >= 0.0) & (delta <= 0.5)  # NaN fails both bounds
-        if label.shape != delta.shape or not np.all(in_range):
-            raise ValueError("expected deltas in [0, 0.5] and one label each, "
-                             f"got shapes {delta.shape} and {label.shape}")
 
     @property
     def expected_misclassification(self) -> np.ndarray:

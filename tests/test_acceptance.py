@@ -136,8 +136,7 @@ class TestAC3DeltaCalibration:
     @pytest.mark.parametrize("dataset_id", ["D1", "D2", "D3"])
     def test_bin_calibration(self, dataset_id, d1_run, d2_run, d3_run):
         run = _runs(d1_run, d2_run, d3_run)[dataset_id]
-        reps = bq.delta_scores(run["preds"], GRID)
-        rep = bq.delta_report(reps, run["test"].labels)
+        rep = bq.delta_report(run["preds"], GRID, run["test"].labels)
         passed = rep.r2 is not None and rep.r2 >= 0.7
         report(f"AC-3 [{dataset_id}] 5-bin misclassification vs 0.5-delta "
                f"R^2 = {rep.r2:.3f} (threshold 0.70)", passed)

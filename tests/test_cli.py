@@ -305,6 +305,32 @@ class TestTrain:
             == "error: bad lr 'fixed': use 'lalr' or a number\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--loss", "BCE"], ""), ([], "loss: BCE\n")])
+    def test_loss_in_any_case(self, tmp_path, flags, config):
+        # loss: BCE trained the baseline, where --loss BCE exited 2 with
+        # argparse's usage
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--id", "D1", "--n", "100",
+                    "--trunk", "4", "--epochs", "1", *flags,
+                    "--out", out]) == 0
+        net = network.load_checkpoint(out / "checkpoint.npz")
+        assert net.grid.levels == (0.5,)
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--loss", "xyz"], ""), ([], "loss: xyz\n")])
+    def test_unknown_loss_rejected(self, tmp_path, capsys, flags, config):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--id", "D1", "--n", "100",
+                    "--trunk", "4", "--epochs", "1", *flags,
+                    "--out", out]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: unknown loss kind 'xyz'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "noise-sweep", "lalr-bench"])
     def test_single_class_labels_rejected(self, tmp_path, capsys, command):
         # a threshold beyond the response range leaves one class to fit

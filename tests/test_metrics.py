@@ -14,7 +14,7 @@ from bqrnet.datasets import LabeledDataset, gen_dataset, threshold_labels
 from bqrnet.metrics import (CoverageTable, accuracy, coverage, delta_report,
                             r_squared, roc_auc, roc_auc_at_delta, summary_json)
 from bqrnet.network import TauGrid
-from bqrnet.smoothing import ConfidenceScores, delta_scores
+from bqrnet.smoothing import delta_scores
 
 GRID = TauGrid.default()
 
@@ -106,31 +106,44 @@ class TestRSquared:
 
 
 class TestDeltaReport:
-    def _reports(self, deltas, labels_pred):
-        return ConfidenceScores(delta=np.asarray(deltas, dtype=float),
-                                predicted_label=np.asarray(labels_pred))
+    # the default grid gives delta in [0, 0.4] or 0.5 only, and 0.4 at its
+    # edge knot, where rounding 0.5 - 0.4 may leave the row uncrossed; 99
+    # levels give every delta in [0, 0.49] inside the grid
+    FINE_GRID = TauGrid(np.round(np.arange(1, 100) / 100, 2))
+
+    @staticmethod
+    def _matrix(deltas, labels, grid=GRID):
+        """Rows linear in tau: a label 1 row crosses zero at 0.5 - d and a
+        label 0 row at 0.5 + d, so each has delta d; a row that the shift
+        leaves of one sign has delta 0.5. Checked against delta_scores."""
+        deltas, labels = np.asarray(deltas, dtype=float), np.asarray(labels)
+        shift = np.where(labels == 1, 0.5 - deltas, 0.5 + deltas)
+        preds = grid.array[None, :] - shift[:, None]
+        scores = delta_scores(preds, grid)
+        np.testing.assert_allclose(scores.delta, deltas, rtol=0, atol=1e-12)
+        assert scores.predicted_label.tolist() == labels.tolist()
+        return preds
 
     def test_perfectly_confident_and_correct(self):
         labels = np.array([1, 0, 1, 0])
-        reps = self._reports([0.5] * 4, labels)
-        rep = delta_report(reps, labels)
+        rep = delta_report(self._matrix([0.5] * 4, labels), GRID, labels)
+        assert rep.accuracy == 1.0
         assert rep.misclassification == [0.0] * 5
         assert rep.retention == [1.0] * 5
 
     def test_retention_decreasing_with_rising_thresholds(self):
         rng = np.random.default_rng(1)
-        deltas = rng.uniform(0.0, 0.5, 500)
+        deltas = rng.uniform(0.0, 0.49, 500)
         labels = rng.integers(0, 2, 500)
-        reps = self._reports(deltas, labels)
-        rep = delta_report(reps, labels)
+        grid = self.FINE_GRID
+        rep = delta_report(self._matrix(deltas, labels, grid), grid, labels)
         assert all(a >= b for a, b in zip(rep.retention, rep.retention[1:]))
         assert all(a > b for a, b in
                    zip(rep.retention, rep.retention[1:]))  # strict here
 
     def test_empty_threshold_yields_none(self):
         labels = np.array([1, 0])
-        reps = self._reports([0.05, 0.05], labels)
-        rep = delta_report(reps, labels)
+        rep = delta_report(self._matrix([0.05, 0.05], labels), GRID, labels)
         assert rep.misclassification[-1] is None
         assert rep.retention[-1] == 0.0
 
@@ -145,14 +158,15 @@ class TestDeltaReport:
                 pred.append(p)
                 wrong = rng.random() < (0.5 - center)
                 labels.append(1 - p if wrong else p)
-        reps = self._reports(deltas, pred)
-        rep = delta_report(reps, np.array(labels))
+        grid = self.FINE_GRID
+        rep = delta_report(self._matrix(deltas, pred, grid), grid,
+                           np.array(labels))
         assert rep.r2 is not None and rep.r2 > 0.8
 
     def test_equal_bin_rates_give_no_r2(self, tmp_path):
         # both rows right, so both non-empty bins misclassify at rate 0
         labels = np.array([1, 0])
-        rep = delta_report(self._reports([0.05, 0.3], labels), labels)
+        rep = delta_report(self._matrix([0.05, 0.3], labels), GRID, labels)
         assert rep.r2 is None
         rep.to_csv(tmp_path / "delta.csv")
         assert tmp_path.joinpath("delta.csv").read_text().splitlines()[1] \
@@ -160,11 +174,19 @@ class TestDeltaReport:
 
     def test_csv_marks_missing(self, tmp_path):
         labels = np.array([1, 0])
-        rep = delta_report(self._reports([0.05, 0.05], labels), labels)
+        rep = delta_report(self._matrix([0.05, 0.05], labels), GRID, labels)
         path = tmp_path / "delta.csv"
         rep.to_csv(path, dataset_name="D1")
         text = path.read_text()
         assert "NA" in text
+
+    def test_accuracy_is_that_of_the_predicted_labels(self):
+        # evaluate's summary.json reads its accuracy from the report
+        rng = np.random.default_rng(3)
+        preds = np.sort(rng.normal(size=(20000, 9)), axis=1)
+        labels = rng.integers(0, 2, 20000)
+        assert delta_report(preds, GRID, labels).accuracy == accuracy(
+            delta_scores(preds, GRID).predicted_label, labels)
 
 
 class TestRocAuc:

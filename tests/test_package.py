@@ -6,6 +6,8 @@ import importlib
 import os
 import pkgutil
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import bqrnet
-from bqrnet import losses
+from bqrnet import cli, losses
 
 
 def test_pyproject_version_matches_package():
@@ -35,6 +37,24 @@ def test_readme_quick_start_runs(tmp_path):
     run = subprocess.run([sys.executable, "-W", "error", str(script)], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # each bqrnet line of the Command line section's sh block exits 0, in
+    # process, from a directory holding a copy of data/, with 2-epoch fits
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("## Command line")[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [shlex.split(line)
+             for line in block.replace("\\\n", " ").splitlines()]
+    assert [argv[:2] for argv in lines] == [["bqrnet", name]
+                                            for name in cli.COMMANDS]
+    shutil.copytree(root / "data", tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    for _, command, *args in lines:
+        if command in ("train", "noise-sweep", "lalr-bench"):
+            args += ["--epochs", "2"]
+        assert cli.main([command, *args]) == 0, command
 
 
 def test_all_names_resolve():
@@ -64,8 +84,6 @@ X = np.array([[0.1], [0.5], [0.9]])
 Y = np.array([0.0, 1.0, 1.0])
 P = np.zeros((3, 9))
 DS = bqrnet.LabeledDataset(features=X, labels=Y, latent=[0.2, -1.0, 3.0])
-CONFIDENCE = bqrnet.ConfidenceScores(delta=np.full(3, 0.2),
-                                     predicted_label=np.array([0, 1, 1]))
 TRAIN_CONFIG = bqrnet.TrainConfig(epochs=1, batch_size=2, lr_mode="lalr")
 
 # the rows rule: features are rows of input_dim values, predictions rows of
@@ -90,6 +108,7 @@ PREDICTION_ENTRIES = {
     "conditional_moments": lambda p: bqrnet.conditional_moments(p, GRID),
     "prediction_intervals": lambda p: bqrnet.prediction_intervals(p, GRID, 0.5),
     "delta_scores": lambda p: bqrnet.delta_scores(p, GRID),
+    "delta_report": lambda p: bqrnet.delta_report(p, GRID, Y),
     "total_loss": lambda p: bqrnet.total_loss(Y, p, SPEC),
     "total_grad": lambda p: losses.total_grad(Y, p, SPEC),
     "roc_auc_at_delta": lambda p: bqrnet.roc_auc_at_delta(p, GRID, Y, 0.0),
@@ -116,7 +135,7 @@ LABEL_ENTRIES = {
     "train": lambda y: bqrnet.train(NET, X, y, SPEC, TRAIN_CONFIG),
     "LabeledDataset": lambda y: bqrnet.LabeledDataset(features=X, labels=y),
     "accuracy": lambda y: bqrnet.accuracy([0, 1, 1], y),
-    "delta_report": lambda y: bqrnet.delta_report(CONFIDENCE, y),
+    "delta_report": lambda y: bqrnet.delta_report(P, GRID, y),
     "roc_auc": lambda y: bqrnet.roc_auc(X[:, 0], y),
     "roc_auc_at_delta": lambda y: bqrnet.roc_auc_at_delta(P, GRID, y, 0.0),
     "backward": lambda y: bqrnet.backward(NET, X, y, SPEC),
@@ -141,22 +160,6 @@ BAD_LATENT = {
     "nan": [0.2, np.nan, 3.0],
     "+inf": [0.2, np.inf, 3.0],
     "-inf": [0.2, -np.inf, 3.0],
-}
-
-# the confidence rule: deltas in [0, 0.5], one label each, and each label
-# 0 or 1 (the labels rule's value-only form); (delta, predicted_label) pairs
-# in the array form and the one-row float/int form
-BAD_CONFIDENCE = {
-    "nan": (np.array([0.2, np.nan, 0.2]), np.array([0, 1, 1])),
-    "0.7": (np.array([0.2, 0.7, 0.2]), np.array([0, 1, 1])),
-    "-1": (np.array([0.2, -1.0, 0.2]), np.array([0, 1, 1])),
-    "short-labels": (np.full(3, 0.2), np.array([0, 1])),
-    "one-row-nan": (np.nan, 1),
-    "one-row-0.7": (0.7, 1),
-}
-BAD_CONFIDENCE_LABELS = {
-    "5": (np.full(3, 0.2), np.array([0, 5, 1])),
-    "one-row-5": (0.2, 5),
 }
 
 # the grid rule: the loss grid is the network's
@@ -203,15 +206,6 @@ def _rows_message(bad, k=None, n=None):
                    f"{np.shape(v)}", id=f"{name}-latent-{case}")
       for name, fn in LATENT_ENTRIES.items()
       for case, v in BAD_LATENT.items()),
-    *(pytest.param(lambda args: bqrnet.ConfidenceScores(*args), args,
-                   "expected deltas in [0, 0.5] and one label each, got "
-                   f"shapes {np.shape(args[0])} and {np.shape(args[1])}",
-                   id=f"ConfidenceScores-delta-{case}")
-      for case, args in BAD_CONFIDENCE.items()),
-    *(pytest.param(lambda args: bqrnet.ConfidenceScores(*args), args,
-                   f"expected labels of 0 or 1, got shape {np.shape(args[1])}",
-                   id=f"ConfidenceScores-labels-{case}")
-      for case, args in BAD_CONFIDENCE_LABELS.items()),
     *(pytest.param(fn, spec, "the loss grid differs from the network's grid",
                    id=f"{name}-grid-{case}")
       for name, fn in GRID_ENTRIES.items() for case, spec in BAD_SPECS.items()),
@@ -220,10 +214,8 @@ def test_each_input_rule_has_one_message(entry, bad, message):
     # labels 2, 0.5 or NaN used to score as 0; a 3-column or NaN batch
     # reached backward and estimate_kz as a NumPy or network-output error;
     # a NaN prediction row scored delta 0.5, the most confident; a NaN or
-    # short latent built a dataset; backward scored a loss on another grid
-    # against whichever heads its arrays lined up with; and a hand-built
-    # ConfidenceScores with a NaN, 0.7 or -1 delta or a label 5 was scored
-    # as given
+    # short latent built a dataset; and backward scored a loss on another
+    # grid against whichever heads its arrays lined up with
     with pytest.raises(ValueError) as exc:
         entry(bad)
     assert str(exc.value) == message
